@@ -43,7 +43,7 @@ from .errors import FiberlineError, InsufficientRadius, Unsupported
 from .geometry import Ball, bounding_radius, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
-from .linespace import DirectedLine, lines_to_csv, lines_to_records
+from .linespace import DirectedLine, lines_to_csv, lines_to_json
 from .randkit import make_rng, split
 from .stats import (
     Estimate,
@@ -225,8 +225,7 @@ def _emit_lines(lines: DirectedLine, manifest: dict, args) -> None:
         comment = "manifest: " + json.dumps(manifest, separators=(",", ":"))
         _write(lines_to_csv(lines, comments=[comment]), args.out)
     else:
-        doc = {"manifest": manifest, "lines": lines_to_records(lines)}
-        _write(json.dumps(doc, indent=2) + "\n", args.out)
+        _write(lines_to_json(lines, manifest), args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ density ``(1 + a^2 + b^2)^-2 da db dp dq``, which is what
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "lines_equal",
     "lines_to_records",
     "lines_to_csv",
+    "lines_to_json",
 ]
 
 _UNIT_TOL = 1e-12
@@ -42,7 +44,7 @@ class DirectedLine:
 
     Both fields are float arrays of shape (3,) for a single line or (n, 3)
     for a batch.  Construction validates |u| = 1 to 1e-12 and orthogonality
-    of the foot to 1e-9.
+    of the foot as |u . foot| <= 1e-9 max(1, |foot|).
     """
 
     u: np.ndarray
@@ -61,10 +63,14 @@ class DirectedLine:
             raise NotUnit(f"direction norm off by {worst:.3e}")
         dot = np.abs(np.sum(u * foot, axis=-1))
         if not np.all(dot <= _FOOT_TOL):
-            raise ValueError(
-                f"foot not orthogonal to direction (|u.foot| up to "
-                f"{float(np.max(dot)):.3e})"
-            )
+            # rounding in u . foot grows with |foot|, so the bound scales
+            # with it; computed only here, as most feet pass unscaled
+            scale = np.maximum(1.0, np.sqrt(np.sum(foot * foot, axis=-1)))
+            if not np.all(dot <= _FOOT_TOL * scale):
+                raise ValueError(
+                    f"foot not orthogonal to direction (|u.foot| up to "
+                    f"{float(np.max(dot)):.3e})"
+                )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "foot", foot)
 
@@ -190,6 +196,19 @@ def lines_to_records(dl: DirectedLine) -> list[dict]:
     return [dict(zip(keys, map(float, row))) for row in cols]
 
 
+_CSV_ROW = ",".join(["%.17g"] * 6) + "\n"
+_JSON_RECORD = "    {\n" + ",\n".join(
+    f'      "{k}": %r' for k in ("ux", "uy", "uz", "qx", "qy", "qz")
+) + "\n    }"
+
+
+def _flat_values(dl: DirectedLine) -> tuple[int, tuple[float, ...]]:
+    """Row count and the row-major values ux, uy, uz, qx, qy, qz per row."""
+    u, foot = _rows(dl)
+    cols = np.concatenate([u, foot], axis=1)
+    return len(cols), tuple(cols.ravel().tolist())
+
+
 def lines_to_csv(dl: DirectedLine, comments: list[str] | None = None) -> str:
     """CSV text with header ``ux,uy,uz,qx,qy,qz`` and %.17g values.
 
@@ -197,12 +216,24 @@ def lines_to_csv(dl: DirectedLine, comments: list[str] | None = None) -> str:
     17 significant digits round-trip doubles exactly, so equal inputs yield
     byte-identical text.
     """
-    u, foot = _rows(dl)
-    out = []
-    for c in comments or []:
-        out.append(f"# {c}")
-    out.append("ux,uy,uz,qx,qy,qz")
-    cols = np.concatenate([u, foot], axis=1)
-    for row in cols:
-        out.append(",".join("%.17g" % v for v in row))
-    return "\n".join(out) + "\n"
+    n, values = _flat_values(dl)
+    head = "".join(f"# {c}\n" for c in comments or [])
+    return head + "ux,uy,uz,qx,qy,qz\n" + (_CSV_ROW * n) % values
+
+
+def lines_to_json(dl: DirectedLine, manifest: dict) -> str:
+    """JSON document ``{"manifest": ..., "lines": [records]}`` plus newline.
+
+    Byte-identical to ``json.dumps({"manifest": manifest, "lines":
+    lines_to_records(dl)}, indent=2) + "\n"``, built from one bulk ``%r``
+    template instead of the pure-Python indenting encoder.  ``%r`` of a float
+    is ``float.__repr__``, which is what ``json`` writes; the NaN/Infinity
+    spellings cannot arise because DirectedLine rejects non-finite values.
+    """
+    head = json.dumps({"manifest": manifest, "lines": []}, indent=2)
+    n, values = _flat_values(dl)
+    if n == 0:
+        return head + "\n"
+    # head ends with '"lines": []\n}'; open the list and splice the records in
+    body = ",\n".join([_JSON_RECORD] * n) % values
+    return head[:-len("]\n}")] + "\n" + body + "\n  ]\n}\n"

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .bundle import _act_broken_arrays, _project_arrays, LineDensity, \
     act, project_to_line, sample_bundle, sample_disk, sample_isotropic
@@ -247,6 +246,7 @@ def chi2_isotropy(directions: np.ndarray, bins: int = 20) -> TestReport:
     counts, _ = np.histogram(z, bins=edges)
     expected = n / bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
+    from scipy.special import chdtrc  # deferred: scipy costs ~0.27 s to import
     return TestReport(stat, float(chdtrc(bins - 1, stat)), n)
 
 

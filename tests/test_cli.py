@@ -229,3 +229,38 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "ux,uy,uz,qx,qy,qz" in proc.stdout
+
+
+def test_no_scipy_import_outside_haar_test():
+    # scipy costs a quarter second to import; only haar-test's chi-square
+    # test needs it
+    check = "import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fiberline.cli\n" + check],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the same after a full `python -m fiberline sample --n 10`
+    run = ("import runpy, sys\n"
+           "sys.argv = ['fiberline', 'sample', '--n', '10']\n"
+           "try:\n"
+           "    runpy.run_module('fiberline', run_name='__main__')\n"
+           "except SystemExit as exc:\n"
+           "    assert exc.code == 0, exc.code\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", run + check],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ux,uy,uz,qx,qy,qz" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--radius", "1e7", "--n", "100000"],
+    ["sample", "--source", "cosine", "--radius", "1e7", "--n", "20000"],
+    ["chord", "--body", "ball:0,0,0,1e8", "--radius", "1.5e8", "--n", "20000"],
+], ids=["sample", "cosine", "chord"])
+def test_large_radius_runs(argv, tmp_path):
+    # |u.foot| rounding here exceeds 1e-9, so an absolute orthogonality
+    # bound would reject these lines and exit 2
+    assert main([*argv, "--seed", "0", "--out", str(tmp_path / "out")]) == 0

@@ -1,0 +1,126 @@
+"""Golden bytes: SHA-256 of CLI output for canonical small invocations.
+
+The README promises "same seed, same bytes, on any machine".  These digests
+pin that promise across commits: a change that moves any output byte of
+these commands fails here, and must either be fixed or come with new
+digests and a stated reason.
+
+Each command writes to ``--out out`` (a relative path, so the manifest's
+command line is the same in every temporary directory).  To print fresh
+digests after an intended output change, run this file as a script.
+"""
+import hashlib
+import platform
+
+import pytest
+
+from fiberline.cli import main
+from fiberline.randkit import RngStream
+
+# sha256 of the first 64 uniforms of RngStream(42, 7), as float64 bytes
+RNG_42_7_SHA = \
+    "275757174066d9c05915633f61b6135fa0402c22bdcde33b7e2061bcce55dacc"
+
+# (name, argv, expected exit code, sha256 of the --out file)
+GOLDEN = [
+    ("sample-csv-t1",
+     ["sample", "--n", "200", "--seed", "42"], 0,
+     "439a078184fd5c7eb133e97b403dc3fb39c968357187212a486cd2b80e21bf23"),
+    ("sample-csv-t2",
+     ["sample", "--n", "200", "--seed", "42", "--threads", "2"], 0,
+     "49af0c053e4eff2c78556568f0cca8cbf23d23fb80379c81e466e7fed5c8fba0"),
+    ("sample-json-t1",
+     ["sample", "--n", "200", "--seed", "42", "--format", "json"], 0,
+     "82266e2eadeef7e5dc8d6e14e5552de7782c0d792a998085c48ee98f57e425e0"),
+    ("sample-json-t2",
+     ["sample", "--n", "200", "--seed", "42", "--format", "json",
+      "--threads", "2"], 0,
+     "e5ea601eca48f9b97206b3a2ae3c7501f083294415358bbab5b19e51cd9e0828"),
+    ("sample-csv-n0",
+     ["sample", "--n", "0", "--seed", "42"], 0,
+     "672388e9ea9d4b272fa57f32682c239cb18248c2cfb8cb0a5dd9deaf7e79a2d7"),
+    ("sample-json-n0",
+     ["sample", "--n", "0", "--seed", "42", "--format", "json"], 0,
+     "8edbf370bf9b331140a017aaf591d65d3ae4cafcbf4875d040282331a5e20bc7"),
+    ("sample-csv-n1",
+     ["sample", "--n", "1", "--seed", "42"], 0,
+     "cdfeef99ccfe49a235bab63bfb551bbc6bc044e49ce59877d5b737f44ce986cf"),
+    ("sample-json-n1",
+     ["sample", "--n", "1", "--seed", "42", "--format", "json"], 0,
+     "774b82d0280f7ab7431eb2f7f37ce86bafd4956fdd0061d946042973b061afbc"),
+    ("sample-cosine",
+     ["sample", "--source", "cosine", "--radius", "2", "--n", "200",
+      "--seed", "5"], 0,
+     "03708d516835b1c03f53d3abc3aac8ab96f501bccd620e6576d7810e8d5ee260"),
+    ("bundle-tilt-json",
+     ["bundle", "--density", "tilt", "--kappa", "2", "--format", "json",
+      "--n", "200", "--seed", "3"], 0,
+     "6263dbe52d08ab0ffdfe37b93c4955690f52fee3433dc29a3bfcf4f09db07481"),
+    ("haar-test",
+     ["haar-test", "--n", "5000", "--seed", "5"], 0,
+     "8314f655a3852c7e4185ee26fda9d1c5c7e2ff0c90efa84b08675b07f2057e82"),
+    ("chord-box",
+     ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
+      "--n", "20000", "--seed", "1"], 0,
+     "e5cb818307e2bda4905ac356428b69c1ac48aa7ae0b6c265484eef5e647fe365"),
+    ("bertrand-midpoint",
+     ["bertrand", "--method", "midpoint", "--n", "20000", "--seed", "3"], 0,
+     "162ca529db6798718d9b52b5f87393f58d1013690caaa3033243d6b7225e545c"),
+    ("gauge-foot-tilt",
+     ["gauge-audit", "--density", "foot-tilt", "--n", "5000",
+      "--seed", "7"], 0,
+     "3918f1f34edb80e4b1abb65489e462ab96ba2e13fdae5e097502d8ec51ac1ba1"),
+]
+
+
+def _cpu() -> str:
+    """CPU model and the SIMD flags numpy's math kernels dispatch on."""
+    model, flags = platform.machine(), []
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            info = fh.read()
+    except OSError:
+        return model
+    for line in info.splitlines():
+        key, _, val = line.partition(":")
+        if key.strip() == "model name":
+            model = val.strip()
+        elif key.strip() == "flags":
+            flags = [f for f in val.split()
+                     if f.startswith(("avx", "fma", "sse4"))]
+            break
+    return f"{model}; {' '.join(flags)}"
+
+
+def _digest(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FIBERLINE_SEED", raising=False)
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    code = main([*argv, "--out", "out"])
+    return code, hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,argv,exit_code,sha",
+                         GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_bytes(name, argv, exit_code, sha, tmp_path, monkeypatch):
+    code, got = _digest(argv, tmp_path, monkeypatch)
+    assert code == exit_code
+    # last-ulp differences in numpy's SIMD math are CPU dependent; name the
+    # CPU so a mismatch on new hardware can be told from a regression
+    assert got == sha, f"{name}: output bytes changed (cpu: {_cpu()})"
+
+
+def test_golden_rng_words():
+    words = RngStream(42, 7).uniforms(64).tobytes()
+    assert hashlib.sha256(words).hexdigest() == RNG_42_7_SHA
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    for name, argv, _, _ in GOLDEN:
+        with tempfile.TemporaryDirectory() as d, \
+                pytest.MonkeyPatch.context() as mp:
+            code, got = _digest(argv, Path(d), mp)
+        print(f"{name}: exit {code}, {got}")

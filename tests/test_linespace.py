@@ -1,9 +1,12 @@
 """Line representations: chart conversions, canonicalization, serialization."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberline.bundle import sample_isotropic
 from fiberline.errors import HorizontalLine, NotUnit
 from fiberline.haar import sample_rotation
 from fiberline.linespace import (
@@ -12,6 +15,7 @@ from fiberline.linespace import (
     directed_to_slope,
     lines_equal,
     lines_to_csv,
+    lines_to_json,
     lines_to_records,
     point_at,
     slope_measure_weight,
@@ -164,6 +168,21 @@ def test_validation_errors():
         SlopeLine(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2))
 
 
+def test_foot_tolerance_scales_with_foot():
+    ex = np.array([1.0, 0.0, 0.0])
+    # |foot| <= 1: the absolute 1e-9 bound, as before
+    DirectedLine(EZ, ex + 5e-10 * EZ)
+    with pytest.raises(ValueError):
+        DirectedLine(EZ, ex + 2e-9 * EZ)
+    # far feet carry rounding of order ulp(|foot|) in u . foot
+    DirectedLine(EZ, 1e8 * ex + 5e-8 * EZ)
+    DirectedLine(np.tile(EZ, (2, 1)), [0.5 * ex + 5e-10 * EZ, 1e8 * ex + 5e-8 * EZ])
+    with pytest.raises(ValueError):
+        DirectedLine(EZ, 1e8 * ex + 1.0 * EZ)
+    with pytest.raises(ValueError):
+        DirectedLine(np.tile(EZ, (2, 1)), [1e8 * ex, ex + 2e-9 * EZ])
+
+
 def test_batch_len():
     dl = DirectedLine(np.tile(EZ, (4, 1)), np.zeros((4, 3)))
     assert dl.is_batch and len(dl) == 4
@@ -183,3 +202,60 @@ def test_records_and_csv():
     # 17 significant digits survive a parse round trip
     vals = np.array([float(v) for v in lines[2].split(",")])
     assert np.array_equal(vals, np.array([0, 0, 1, 1, 2, 0.0]))
+
+
+def _csv_reference(dl, comments=None):
+    """The per-row formatter that lines_to_csv replaced."""
+    u, foot = np.atleast_2d(dl.u), np.atleast_2d(dl.foot)
+    out = [f"# {c}" for c in comments or []]
+    out.append("ux,uy,uz,qx,qy,qz")
+    for row in np.concatenate([u, foot], axis=1):
+        out.append(",".join("%.17g" % v for v in row))
+    return "\n".join(out) + "\n"
+
+
+def _json_reference(dl, manifest):
+    doc = {"manifest": manifest, "lines": lines_to_records(dl)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+SERIALIZE_CASES = {
+    "empty": lambda: DirectedLine(np.zeros((0, 3)), np.zeros((0, 3))),
+    "single-1d": lambda: DirectedLine(EZ, [1.0, 2.0, 0.0]),
+    "exponents": lambda: DirectedLine(
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1e-300, 0.0, 1.0]],
+        [[1e16, 1e-300, 0.0], [0.0, -1e-300, 1e16], [0.0, 5e-324, 0.0]],
+    ),
+    "negative-zero": lambda: DirectedLine(
+        [[-0.0, 0.0, 1.0], [0.0, -1.0, -0.0]],
+        [[0.0, -0.0, -0.0], [-0.0, 0.0, 1.5]],
+    ),
+    "isotropic": lambda: sample_isotropic(make_rng(5), 3.0, 300),
+}
+
+MANIFEST = {
+    "command": "fiberline sample --axis '0,0,1' --note \"caf\u00e9 \u2603\"",
+    "seed": 3,
+    "n": 2,
+    "timestamp": "",
+    "version": "0.1.0",
+    "parameters": {"axis": [0.0, 0.0, 1.0], "kappa": 2.0},
+    "acceptance_rate": 0.25,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZE_CASES))
+def test_csv_matches_per_row_reference(case):
+    dl = SERIALIZE_CASES[case]()
+    assert lines_to_csv(dl) == _csv_reference(dl)
+    comments = ["manifest: " + json.dumps(MANIFEST, separators=(",", ":")),
+                "second"]
+    assert lines_to_csv(dl, comments=comments) == _csv_reference(dl, comments)
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZE_CASES))
+def test_json_matches_json_dumps(case):
+    dl = SERIALIZE_CASES[case]()
+    text = lines_to_json(dl, MANIFEST)
+    assert text == _json_reference(dl, MANIFEST)
+    assert json.loads(text)["lines"] == lines_to_records(dl)
