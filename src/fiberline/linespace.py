@@ -35,6 +35,7 @@ __all__ = [
 
 _UNIT_TOL = 1e-12
 _FOOT_TOL = 1e-9
+_FOOT_REL_TOL = 5e-12
 _HORIZONTAL_TOL = 1e-9
 
 
@@ -44,7 +45,7 @@ class DirectedLine:
 
     Both fields are float arrays of shape (3,) for a single line or (n, 3)
     for a batch.  Construction validates |u| = 1 to 1e-12 and orthogonality
-    of the foot as |u . foot| <= 1e-9 max(1, |foot|).
+    of the foot as |u . foot| <= max(1e-9, 5e-12 |foot|).
     """
 
     u: np.ndarray
@@ -62,15 +63,13 @@ class DirectedLine:
             worst = float(np.max(np.abs(nrm - 1.0)))
             raise NotUnit(f"direction norm off by {worst:.3e}")
         dot = np.abs(np.sum(u * foot, axis=-1))
-        if not np.all(dot <= _FOOT_TOL):
-            # rounding in u . foot grows with |foot|, so the bound scales
-            # with it; computed only here, as most feet pass unscaled
-            scale = np.maximum(1.0, np.sqrt(np.sum(foot * foot, axis=-1)))
-            if not np.all(dot <= _FOOT_TOL * scale):
-                raise ValueError(
-                    f"foot not orthogonal to direction (|u.foot| up to "
-                    f"{float(np.max(dot)):.3e})"
-                )
+        # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far feet
+        bound = np.maximum(_FOOT_TOL, _FOOT_REL_TOL * np.linalg.norm(foot, axis=-1))
+        if not np.all(dot <= bound):
+            raise ValueError(
+                f"foot not orthogonal to direction (|u.foot| up to "
+                f"{float(np.max(dot)):.3e})"
+            )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "foot", foot)
 
@@ -182,30 +181,27 @@ def lines_equal(dl1: DirectedLine, dl2: DirectedLine, directed: bool = True):
     return res if isinstance(res, np.ndarray) else bool(res)
 
 
-def _rows(dl: DirectedLine) -> tuple[np.ndarray, np.ndarray]:
-    u = np.atleast_2d(dl.u)
-    foot = np.atleast_2d(dl.foot)
-    return u, foot
+_COLUMNS = ("ux", "uy", "uz", "qx", "qy", "qz")
+
+
+def _table(dl: DirectedLine) -> np.ndarray:
+    """(n, 6) array of the _COLUMNS values, one row per line."""
+    return np.concatenate([np.atleast_2d(dl.u), np.atleast_2d(dl.foot)], axis=1)
 
 
 def lines_to_records(dl: DirectedLine) -> list[dict]:
     """Plain-dict rows {ux, uy, uz, qx, qy, qz}; q* is the foot point."""
-    u, foot = _rows(dl)
-    keys = ("ux", "uy", "uz", "qx", "qy", "qz")
-    cols = np.concatenate([u, foot], axis=1)
-    return [dict(zip(keys, map(float, row))) for row in cols]
+    return [dict(zip(_COLUMNS, row)) for row in _table(dl).tolist()]
 
 
-_CSV_ROW = ",".join(["%.17g"] * 6) + "\n"
-_JSON_RECORD = "    {\n" + ",\n".join(
-    f'      "{k}": %r' for k in ("ux", "uy", "uz", "qx", "qy", "qz")
-) + "\n    }"
+_CSV_HEADER = ",".join(_COLUMNS) + "\n"
+_CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
+_JSON_RECORD = "    {\n" + ",\n".join(f'      "{k}": %r' for k in _COLUMNS) + "\n    }"
 
 
 def _flat_values(dl: DirectedLine) -> tuple[int, tuple[float, ...]]:
-    """Row count and the row-major values ux, uy, uz, qx, qy, qz per row."""
-    u, foot = _rows(dl)
-    cols = np.concatenate([u, foot], axis=1)
+    """Row count and the row-major _COLUMNS values of every row."""
+    cols = _table(dl)
     return len(cols), tuple(cols.ravel().tolist())
 
 
@@ -218,7 +214,7 @@ def lines_to_csv(dl: DirectedLine, comments: list[str] | None = None) -> str:
     """
     n, values = _flat_values(dl)
     head = "".join(f"# {c}\n" for c in comments or [])
-    return head + "ux,uy,uz,qx,qy,qz\n" + (_CSV_ROW * n) % values
+    return head + _CSV_HEADER + (_CSV_ROW * n) % values
 
 
 def lines_to_json(dl: DirectedLine, manifest: dict) -> str:

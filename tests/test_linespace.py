@@ -174,11 +174,12 @@ def test_foot_tolerance_scales_with_foot():
     DirectedLine(EZ, ex + 5e-10 * EZ)
     with pytest.raises(ValueError):
         DirectedLine(EZ, ex + 2e-9 * EZ)
-    # far feet carry rounding of order ulp(|foot|) in u . foot
+    # far feet carry rounding that grows with |foot|: the bound is 5e-12 |foot|
     DirectedLine(EZ, 1e8 * ex + 5e-8 * EZ)
+    DirectedLine(EZ, 1e8 * ex + 1e-4 * EZ)
     DirectedLine(np.tile(EZ, (2, 1)), [0.5 * ex + 5e-10 * EZ, 1e8 * ex + 5e-8 * EZ])
     with pytest.raises(ValueError):
-        DirectedLine(EZ, 1e8 * ex + 1.0 * EZ)
+        DirectedLine(EZ, 1e8 * ex + 1e-3 * EZ)
     with pytest.raises(ValueError):
         DirectedLine(np.tile(EZ, (2, 1)), [1e8 * ex, ex + 2e-9 * EZ])
 
