@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundViolated, NonFinite, RejectionStall
-from .haar import AcceptanceStats, sample_rotation, sample_sphere2, \
-    tangent_from_ball
+from .errors import NonFinite
+from .haar import _batch, _cube_rejection, _rejection, sample_rotation, \
+    sample_sphere2, tangent_from_ball
 from .linespace import DirectedLine
 from .randkit import RngStream
 
@@ -68,9 +68,9 @@ class BundlePoint:
             raise ValueError("bundle coordinates must be finite")
         gtg = np.swapaxes(g, -1, -2) @ g
         eye = np.eye(3)
-        if np.max(np.abs(gtg - eye)) > _ORTHO_TOL:
+        if not np.all(np.abs(gtg - eye) <= _ORTHO_TOL):
             raise ValueError("g is not orthogonal to 1e-10")
-        if np.max(np.abs(np.linalg.det(g) - 1.0)) > _ORTHO_TOL:
+        if not np.all(np.abs(np.linalg.det(g) - 1.0) <= _ORTHO_TOL):
             raise ValueError("g must have determinant +1")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", r)
@@ -164,19 +164,8 @@ def sample_disk(rng: RngStream, radius: float, n: int | None = None) -> np.ndarr
     rejection; shape (2,) or (n, 2)."""
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be positive and finite")
-    if n is None:
-        m, single = 1, True
-    else:
-        m, single = int(n), False
-        if m < 0:
-            raise ValueError("n must be nonnegative")
-    out = np.empty((m, 2), dtype=np.float64)
-    pending = np.arange(m)
-    while pending.size:
-        c = 2.0 * rng.uniforms(2 * pending.size).reshape(-1, 2) - 1.0
-        ok = np.sum(c * c, axis=1) <= 1.0
-        out[pending[ok]] = c[ok]
-        pending = pending[~ok]
+    m, single = _batch(n)
+    out, _ = _cube_rejection(rng, m, 2)
     out *= radius
     return out[0] if single else out
 
@@ -215,47 +204,17 @@ def sample_bundle(
     ``stall_acceptance`` of at least ``stall_proposals`` candidates were
     kept.  With ``return_stats=True`` also returns :class:`AcceptanceStats`.
     """
-    if n is None:
-        m, single = 1, True
-    else:
-        m, single = int(n), False
-        if m < 0:
-            raise ValueError("n must be nonnegative")
-    f, bound = density.f, density.bound
+    m, single = _batch(n)
     g_out = np.empty((m, 3, 3), dtype=np.float64)
     r_out = np.empty((m, 2), dtype=np.float64)
-    got = 0
-    accepted = 0
-    proposals = 0
-    rate_guess = 1.0
-    while got < m:
-        want = m - got
-        k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
-        g = sample_rotation(rng, k)
-        r = sample_disk(rng, density.disk_radius, k)
-        val = np.asarray(f(g, r), dtype=np.float64)
-        if val.shape != (k,):
-            raise ValueError("density must return one value per proposal")
-        if not np.all(np.isfinite(val)):
-            raise NonFinite("density returned NaN or infinity")
-        if np.any(val > bound * (1.0 + 1e-9)) or np.any(val < 0.0):
-            raise BoundViolated(
-                f"density range [{float(val.min()):.6g}, {float(val.max()):.6g}]"
-                f" outside [0, {bound:.6g}]"
-            )
-        keep = rng.uniforms(k) * bound < val
-        proposals += k
-        accepted += int(np.count_nonzero(keep))
-        idx = np.nonzero(keep)[0][:want]
-        g_out[got:got + idx.size] = g[idx]
-        r_out[got:got + idx.size] = r[idx]
-        got += idx.size
-        rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
-        if proposals >= stall_proposals and accepted < stall_acceptance * proposals:
-            raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
+    stats = _rejection(
+        rng,
+        lambda k: (sample_rotation(rng, k), sample_disk(rng, density.disk_radius, k)),
+        density.f, density.bound, (g_out, r_out), stall_acceptance, stall_proposals,
+    )
     pt = BundlePoint(g_out[0], r_out[0]) if single else BundlePoint(g_out, r_out)
     if return_stats:
-        return pt, AcceptanceStats(accepted, proposals)
+        return pt, stats
     return pt
 
 
@@ -271,12 +230,7 @@ def sample_cosine_surface(
     """
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be positive and finite")
-    if n is None:
-        m, single = 1, True
-    else:
-        m, single = int(n), False
-        if m < 0:
-            raise ValueError("n must be nonnegative")
+    m, single = _batch(n)
     normal_in = -sample_sphere2(rng, m)  # inward normal at the surface point
     surf = -radius * normal_in
     tang = tangent_from_ball(rng, normal_in)
@@ -321,7 +275,7 @@ def _unit_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=np.float64).reshape(3)
     ln = float(np.sqrt(np.sum(a * a)))
     if not np.isfinite(ln) or ln <= 0.0:
-        raise ValueError("axis must be a nonzero vector")
+        raise ValueError("axis must be a finite nonzero vector")
     return a / ln
 
 

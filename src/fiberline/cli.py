@@ -10,8 +10,9 @@ produce byte-identical bytes.
 Exit codes: 0 pass, 1 statistical fail, 2 usage/input error, 3 runtime
 sampler error (error name on standard error).
 
-``--threads k`` shards n across k sibling random streams (ids 1..k) joined
-in stream order, so output depends on the flag value but not on scheduling.
+``--threads k`` (every subcommand but gauge-audit) shards n across k sibling
+random streams (ids 1..k) joined in stream order, so output depends on the
+flag value but not on scheduling.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import (
+    _unit_axis,
     foot_tilt_density,
     project_to_line,
     radial_density,
@@ -40,7 +42,7 @@ from .bundle import (
     uniform_density,
 )
 from .errors import FiberlineError, InsufficientRadius, Unsupported
-from .geometry import Ball, bounding_radius, parse_body
+from .geometry import Ball, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
 from .linespace import DirectedLine, lines_to_csv, lines_to_json
@@ -286,13 +288,6 @@ def _cmd_bertrand(args, argv: list[str]) -> int:
 def _cmd_chord(args, argv: list[str]) -> int:
     seed = _seed_of(args)
     body = parse_body(args.body)
-    # surface the radius problem before any sampling work
-    rb = bounding_radius(body)
-    if args.radius < rb * (1.0 - 1e-12):
-        raise InsufficientRadius(
-            f"--radius {args.radius:.6g} is below the bounding radius "
-            f"{rb:.6g}"
-        )
     ch = np.concatenate(
         _run_shards(seed, args.threads, args.n,
                     lambda st, m: isotropic_chords(st, body, m, args.radius))
@@ -373,17 +368,8 @@ def _cmd_haar_test(args, argv: list[str]) -> int:
     return 0 if passed else 1
 
 
-def _cmd_bundle(args, argv: list[str]) -> int:
-    args.source = "bundle"
-    return _cmd_sample(args, argv)
-
-
 def _estimator_of(args):
-    axis = np.asarray(_axis_of(args), dtype=np.float64)
-    ln = float(np.sqrt(np.sum(axis * axis)))
-    if ln <= 0.0:
-        raise ValueError("--axis must be nonzero")
-    axis = axis / ln
+    axis = _unit_axis(_axis_of(args))
     if args.estimator == "foot-axis":
         return lambda lines: lines.foot @ axis
     if args.estimator == "chord-ball":
@@ -430,12 +416,14 @@ def _cmd_gauge_audit(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p: argparse.ArgumentParser, n_default: int) -> None:
+def _add_common(p: argparse.ArgumentParser, n_default: int,
+                threads: bool = True) -> None:
     p.add_argument("--n", type=int, default=n_default, help="sample count")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: $FIBERLINE_SEED or 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="shard across this many split streams")
+    if threads:
+        p.add_argument("--threads", type=int, default=1,
+                       help="shard across this many split streams")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -490,11 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0,
                    help="foot disk radius")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(source="bundle")
     _add_density_flags(p)
 
     p = sub.add_parser("gauge-audit",
                        help="check estimates survive random gauge moves")
-    _add_common(p, 100_000)
+    _add_common(p, 100_000, threads=False)
     p.add_argument("--radius", type=float, default=1.0,
                    help="foot disk radius")
     p.add_argument("--estimator", choices=_ESTIMATORS, default="foot-axis")
@@ -508,7 +497,7 @@ _DISPATCH = {
     "bertrand": _cmd_bertrand,
     "chord": _cmd_chord,
     "haar-test": _cmd_haar_test,
-    "bundle": _cmd_bundle,
+    "bundle": _cmd_sample,
     "gauge-audit": _cmd_gauge_audit,
 }
 

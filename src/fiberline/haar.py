@@ -106,21 +106,29 @@ def sample_ball3(
     ``return_stats=True`` also returns :class:`AcceptanceStats`.
     """
     m, single = _batch(n)
-    out = np.empty((m, 3), dtype=np.float64)
+    out, stats = _cube_rejection(rng, m, 3)
+    res = out[0] if single else out
+    if return_stats:
+        return res, stats
+    return res
+
+
+def _cube_rejection(rng: RngStream, m: int, dim: int
+                    ) -> tuple[np.ndarray, AcceptanceStats]:
+    """m uniform points of the closed unit ball in R^dim: candidates uniform
+    in [-1, 1)^dim, rows outside the ball redrawn."""
+    out = np.empty((m, dim), dtype=np.float64)
     accepted = 0
     proposals = 0
     pending = np.arange(m)
     while pending.size:
-        c = 2.0 * rng.uniforms(3 * pending.size).reshape(-1, 3) - 1.0
+        c = 2.0 * rng.uniforms(dim * pending.size).reshape(-1, dim) - 1.0
         ok = np.sum(c * c, axis=1) <= 1.0
         proposals += pending.size
         accepted += int(np.count_nonzero(ok))
         out[pending[ok]] = c[ok]
         pending = pending[~ok]
-    res = out[0] if single else out
-    if return_stats:
-        return res, AcceptanceStats(accepted, proposals)
-    return res
+    return out, AcceptanceStats(accepted, proposals)
 
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
@@ -268,18 +276,55 @@ def sample_s3_density(
         raise ValueError("bound must be positive and finite")
     m, single = _batch(n)
     out = np.empty((m, 4), dtype=np.float64)
+
+    def antipodal(q):
+        qa = q[:1000]
+        diff = np.abs(np.asarray(f(qa), float) - np.asarray(f(-qa), float))
+        if np.any(diff > 1e-12):
+            raise AntipodalViolation(
+                f"f(q) and f(-q) differ by up to {float(diff.max()):.3e}"
+            )
+
+    stats = _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
+                       (out,), stall_acceptance, stall_proposals,
+                       audit=antipodal if projective else None)
+    res = out[0] if single else out
+    if return_stats:
+        return res, stats
+    return res
+
+
+def _rejection(
+    rng: RngStream,
+    propose: Callable[[int], tuple[np.ndarray, ...]],
+    f: Callable[..., np.ndarray],
+    bound: float,
+    outs: tuple[np.ndarray, ...],
+    stall_acceptance: float,
+    stall_proposals: int,
+    audit: Callable[..., None] | None = None,
+) -> AcceptanceStats:
+    """Fill ``outs``, arrays sharing a leading axis of length m, by rejection.
+
+    ``propose(k)`` returns one k-row array per output; ``f`` maps them to k
+    density values in [0, bound], and a proposal is kept when a uniform times
+    ``bound`` falls below its value.  ``audit``, if given, sees the first
+    nonempty batch of kept proposals.  Raises ValueError on a misshapen
+    density, NonFinite, BoundViolated and RejectionStall as documented on
+    :func:`sample_s3_density`.
+    """
+    m = outs[0].shape[0]
     got = 0
     accepted = 0
     proposals = 0
-    audited = False
     rate_guess = 1.0
     while got < m:
         want = m - got
         k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
-        q = sample_sphere3(rng, k)
-        val = np.asarray(f(q), dtype=np.float64)
+        props = propose(k)
+        val = np.asarray(f(*props), dtype=np.float64)
         if val.shape != (k,):
-            raise ValueError("density must return one value per quaternion")
+            raise ValueError("density must return one value per proposal")
         if not np.all(np.isfinite(val)):
             raise NonFinite("density returned NaN or infinity")
         if np.any(val > bound * (1.0 + 1e-9)) or np.any(val < 0.0):
@@ -290,26 +335,18 @@ def sample_s3_density(
         keep = rng.uniforms(k) * bound < val
         proposals += k
         accepted += int(np.count_nonzero(keep))
-        if projective and not audited and np.any(keep):
-            qa = q[keep][:1000]
-            diff = np.abs(np.asarray(f(qa), float) - np.asarray(f(-qa), float))
-            if np.any(diff > 1e-12):
-                raise AntipodalViolation(
-                    f"f(q) and f(-q) differ by up to {float(diff.max()):.3e}"
-                )
-            audited = True
-        take = q[keep][:want]
-        out[got:got + take.shape[0]] = take
-        got += take.shape[0]
+        idx = np.flatnonzero(keep)
+        if audit is not None and idx.size:
+            audit(*(p[idx] for p in props))
+            audit = None
+        idx = idx[:want]
+        for out, p in zip(outs, props):
+            out[got:got + idx.size] = p[idx]
+        got += idx.size
         rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
         if proposals >= stall_proposals and accepted < stall_acceptance * proposals:
-            raise RejectionStall(
-                f"{accepted} acceptances in {proposals} proposals"
-            )
-    res = out[0] if single else out
-    if return_stats:
-        return res, AcceptanceStats(accepted, proposals)
-    return res
+            raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
+    return AcceptanceStats(accepted, proposals)
 
 
 def naive_frame(u: np.ndarray) -> np.ndarray:

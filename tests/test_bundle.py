@@ -22,7 +22,7 @@ from fiberline.bundle import (
 )
 from fiberline.errors import BoundViolated, NonFinite, RejectionStall
 from fiberline.geometry import Ball, chord
-from fiberline.haar import sample_rotation
+from fiberline.haar import sample_rotation, sample_s3_density
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
 
@@ -200,6 +200,27 @@ def test_bundle_stall():
     dead = LineDensity(lambda g, r: np.zeros(g.shape[0]), 1.0, 1.0)
     with pytest.raises(RejectionStall):
         sample_bundle(make_rng(17), dead, 100, stall_proposals=100_000)
+
+
+def _s3_with(values):
+    return sample_s3_density(make_rng(25), lambda q: values(q.shape[0]), 1.0, 100)
+
+
+def _bundle_with(values):
+    density = LineDensity(lambda g, r: values(g.shape[0]), 1.0, 1.0)
+    return sample_bundle(make_rng(25), density, 100)
+
+
+@pytest.mark.parametrize("draw", [_s3_with, _bundle_with], ids=["s3", "bundle"])
+@pytest.mark.parametrize("values, error", [
+    (lambda k: np.ones(k + 1), ValueError),       # not one value per proposal
+    (lambda k: np.ones((k, 1)), ValueError),
+    (lambda k: np.full(k, -0.5), BoundViolated),  # negative density
+], ids=["extra-value", "column", "negative"])
+def test_rejection_density_contract(draw, values, error):
+    """Both samplers share one rejection loop and its density checks."""
+    with pytest.raises(error):
+        draw(values)
 
 
 def test_density_validation():

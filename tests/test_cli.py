@@ -88,6 +88,24 @@ def test_bundle_source_manifest(capsys):
     assert len(doc["lines"]) == 50
 
 
+@pytest.mark.parametrize("cmd", [["bundle"], ["sample", "--source", "bundle"]],
+                         ids=["bundle", "sample-source-bundle"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bundle_source_empty(cmd, fmt, capsys):
+    code, out, err = _run(capsys, [*cmd, "--n", "0", "--seed", "4",
+                                   "--format", fmt])
+    assert code == 0, err
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["lines"] == []
+        manifest = doc["manifest"]
+    else:
+        comment, header = out.splitlines()  # no data rows
+        assert header == "ux,uy,uz,qx,qy,qz"
+        manifest = json.loads(comment.removeprefix("# manifest: "))
+    assert manifest["n"] == 0 and manifest["acceptance_rate"] == 0.0
+
+
 def test_threads_deterministic(capsys):
     args = ["sample", "--n", "1000", "--seed", "5", "--threads", "3"]
     _, out1, _ = _run(capsys, args)
@@ -208,6 +226,21 @@ def test_bad_axis_exits_2(capsys):
     code, _, err = _run(capsys, ["bundle", "--n", "10", "--seed", "1",
                                  "--axis", "1,2"])
     assert code == 2 and "--axis" in err
+
+
+@pytest.mark.parametrize("axis", ["nan,0,0", "inf,0,0", "0,0,0"])
+def test_gauge_audit_bad_axis_exits_2(axis, capsys):
+    code, out, err = _run(capsys, ["gauge-audit", "--n", "100", "--seed", "1",
+                                   "--density", "uniform", "--axis", axis])
+    assert code == 2 and out == ""
+    assert "axis" in err
+
+
+def test_gauge_audit_rejects_threads():
+    # gauge-audit does not shard, so it takes no --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["gauge-audit", "--n", "100", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_version_flag():
