@@ -273,10 +273,11 @@ def symmetrize_density(
 
 def _unit_axis(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=np.float64).reshape(3)
-    ln = float(np.sqrt(np.sum(a * a)))
-    if not np.isfinite(ln) or ln <= 0.0:
+    big = float(np.max(np.abs(a)))
+    if not np.isfinite(big) or big <= 0.0:
         raise ValueError("axis must be a finite nonzero vector")
-    return a / ln
+    a = a / big  # so the squares neither overflow nor underflow
+    return a / float(np.sqrt(np.sum(a * a)))
 
 
 def uniform_density(disk_radius: float = 1.0) -> LineDensity:

@@ -41,7 +41,7 @@ from .bundle import (
     tilt_radial_density,
     uniform_density,
 )
-from .errors import FiberlineError, InsufficientRadius, Unsupported
+from .errors import FiberlineError, InsufficientRadius
 from .geometry import Ball, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
@@ -295,25 +295,15 @@ def _cmd_chord(args, argv: list[str]) -> int:
     hit = ch > 0.0
     rate = estimate_from_samples(hit.astype(np.float64))
     estimates = {"hit_rate": _est_dict(rate)}
-    tests = {}
-    oracles = {}
-    passed = True
-    try:
-        oracles["hit_rate"] = hit_rate_oracle(body, args.radius)
-        tests["hit_rate_z"] = _z_test(rate, oracles["hit_rate"])
-        passed = passed and _within_3se(rate, oracles["hit_rate"])
-    except Unsupported:
-        pass
+    oracles = {"hit_rate": hit_rate_oracle(body, args.radius)}
+    tests = {"hit_rate_z": _z_test(rate, oracles["hit_rate"])}
+    passed = _within_3se(rate, oracles["hit_rate"])
     if np.any(hit):
         mean_ch = estimate_from_samples(ch[hit])
         estimates["mean_chord_given_hit"] = _est_dict(mean_ch)
-        try:
-            oracles["mean_chord_given_hit"] = mean_chord_oracle(body)
-            tests["mean_chord_z"] = _z_test(
-                mean_ch, oracles["mean_chord_given_hit"])
-            passed = passed and _within_3se(mean_ch, oracles["mean_chord_given_hit"])
-        except Unsupported:
-            pass
+        oracles["mean_chord_given_hit"] = mean_chord_oracle(body)
+        tests["mean_chord_z"] = _z_test(mean_ch, oracles["mean_chord_given_hit"])
+        passed = passed and _within_3se(mean_ch, oracles["mean_chord_given_hit"])
     else:
         passed = False
     report = _report(

@@ -18,7 +18,6 @@ __all__ = [
     "NoHits",
     "DegenerateWeights",
     "TooFewSamples",
-    "Unsupported",
     "Unbounded",
 ]
 
@@ -71,9 +70,5 @@ class TooFewSamples(FiberlineError):
     """Not enough samples for the requested statistical test."""
 
 
-class Unsupported(FiberlineError):
-    """The requested closed-form quantity is not available for this body."""
-
-
-class Unbounded(FiberlineError):
-    """The body appears unbounded (or too large) along some probe direction."""
+class Unbounded(FiberlineError, ValueError):
+    """A halfspace system leaves some direction unbounded (malformed input)."""

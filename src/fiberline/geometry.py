@@ -3,18 +3,18 @@
 Three body types are supported: balls, axis-aligned boxes, and bounded
 intersections of halfspaces.  ``chord`` returns the length of the
 intersection of a line with the body (0 for a miss; tangency counts as a
-miss).  Closed-form volume and surface area exist for balls and boxes only.
+miss).  Volume, surface area and bounding radius are exact for every body:
+closed forms for balls and boxes, the vertices of the polytope for halfspaces.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import Unbounded, Unsupported
+from .errors import Unbounded
 from .linespace import DirectedLine
 
 __all__ = [
@@ -31,14 +31,11 @@ __all__ = [
 
 _PARALLEL_TOL = 1e-12
 _DISC_TOL = 1e-12
-# probe rays for Halfspaces bounding_radius: all nonzero sign patterns
-_PROBE_DIRS = np.array(
-    [d for d in product((-1.0, 0.0, 1.0), repeat=3) if any(d)], dtype=np.float64
-)
-_PROBE_DIRS /= np.sqrt(np.sum(_PROBE_DIRS**2, axis=1))[:, None]
-# probe rays cover the sphere to within acos(1/sqrt(3)) ~ 55 degrees between
-# neighbors, so pad the largest hit generously
-_PROBE_SLACK = 1.1
+# the origin must sit this far inside the hull of the unit normals
+_BOUNDED_TOL = 1e-12
+# an inscribed ball thinner than this, relative to its centre's distance
+# from the origin, is lost in rounding: the body is flat
+_DEPTH_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +72,16 @@ class Box:
 class Halfspaces:
     """Intersection of halfspaces n_i . x <= c_i with unit normals n_i.
 
-    Construction runs the 26-direction probe of :func:`bounding_radius`, so
-    plainly unbounded systems are rejected up front (the probe is a
-    heuristic: it cannot certify boundedness in every direction).
+    Construction certifies the body and computes its vertices once: it
+    raises Unbounded unless the origin lies strictly inside the hull of the
+    normals (no direction escapes every halfspace), and ValueError when the
+    intersection has no interior.  scipy is imported here, so ball and box
+    runs never load it.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
+    vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nrm = np.asarray(self.normals, dtype=np.float64)
@@ -98,7 +98,30 @@ class Halfspaces:
         nrm = nrm / lens[:, None]
         object.__setattr__(self, "normals", nrm)
         object.__setattr__(self, "offsets", off)
-        bounding_radius(self)  # raises Unbounded on a clearly open system
+        object.__setattr__(self, "vertices", _polytope_vertices(nrm, off))
+
+
+def _polytope_vertices(nrm: np.ndarray, off: np.ndarray) -> np.ndarray:
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
+    try:
+        bounded = np.all(ConvexHull(nrm).equations[:, -1] < -_BOUNDED_TOL)
+    except QhullError:  # fewer than 4 normals, or all in one plane
+        bounded = False
+    if not bounded:
+        raise Unbounded("the normals do not surround the origin, so some "
+                        "direction leaves every halfspace")
+    # Chebyshev centre: the deepest point, maximizing t with n_i . x + t <= c_i
+    lp = linprog(np.array([0.0, 0.0, 0.0, -1.0]),
+                 A_ub=np.c_[nrm, np.ones(len(off))], b_ub=off,
+                 bounds=[(None, None)] * 3 + [(0.0, None)])
+    if lp.status == 0:
+        centre = lp.x[:3]
+        depth = float(np.min(off - nrm @ centre))
+    if lp.status != 0 or depth <= _DEPTH_TOL * (np.linalg.norm(centre) + depth):
+        raise ValueError("halfspace intersection has an empty interior")
+    return HalfspaceIntersection(np.c_[nrm, -off], centre).intersections
 
 
 ConvexBody = Union[Ball, Box, Halfspaces]
@@ -122,24 +145,8 @@ def _chord_ball(body: Ball, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slab_interval(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the interval (enter, leave) of t meeting every d t <= c.
-
-    Moving with a normal (d > 0) caps t from above, against it from below; a
-    parallel constraint is all-or-nothing on the sign of c.  The interval is
-    empty where leave <= enter.
-    """
-    para = np.abs(d) <= _PARALLEL_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = c / d
-    uppers = np.where(d > _PARALLEL_TOL, t, np.inf)
-    uppers = np.where(para & (c < 0.0), -np.inf, uppers)
-    lowers = np.where(d < -_PARALLEL_TOL, t, -np.inf)
-    return np.max(lowers, axis=1), np.min(uppers, axis=1)
-
-
 # fast path: a box as 6 halfspaces gives bit-identical chords but is slower
-# (1M lines on a 2-vCPU Xeon: 440-600 ms through _slab_interval, ~345 ms here)
+# (1M lines on a 2-vCPU Xeon: 440-600 ms through _chord_halfspaces, ~345 ms here)
 def _chord_box(body: Box, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (body.lo - f) / u
@@ -156,9 +163,18 @@ def _chord_box(body: Box, u: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _chord_halfspaces(body: Halfspaces, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    enter, leave = _slab_interval(
-        u @ body.normals.T, body.offsets[None, :] - f @ body.normals.T
-    )
+    # per line, t meets n . (f + t u) <= c as d t <= cc: moving with a normal
+    # (d > 0) caps t from above, against it from below; a parallel
+    # constraint is all-or-nothing on the sign of cc
+    d = u @ body.normals.T
+    cc = body.offsets[None, :] - f @ body.normals.T
+    para = np.abs(d) <= _PARALLEL_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = cc / d
+    uppers = np.where(d > _PARALLEL_TOL, t, np.inf)
+    uppers = np.where(para & (cc < 0.0), -np.inf, uppers)
+    lowers = np.where(d < -_PARALLEL_TOL, t, -np.inf)
+    enter, leave = np.max(lowers, axis=1), np.min(uppers, axis=1)
     return np.where(leave > enter, leave - enter, 0.0)
 
 
@@ -181,54 +197,43 @@ def chord(body: ConvexBody, dl: DirectedLine) -> np.ndarray:
 
 
 def volume(body: ConvexBody) -> float:
-    """Closed-form volume; Unsupported for Halfspaces."""
+    """Exact volume: closed form, or the hull of the halfspace vertices."""
     if isinstance(body, Ball):
         return 4.0 / 3.0 * np.pi * body.radius**3
     if isinstance(body, Box):
         return float(np.prod(body.hi - body.lo))
     if isinstance(body, Halfspaces):
-        raise Unsupported("no closed-form volume for a halfspace system")
+        from scipy.spatial import ConvexHull
+        return float(ConvexHull(body.vertices).volume)
     raise TypeError(f"not a convex body: {type(body).__name__}")
 
 
 def surface_area(body: ConvexBody) -> float:
-    """Closed-form surface area; Unsupported for Halfspaces."""
+    """Exact surface area: closed form, or the hull of the halfspace vertices."""
     if isinstance(body, Ball):
         return 4.0 * np.pi * body.radius**2
     if isinstance(body, Box):
         e = body.hi - body.lo
         return 2.0 * float(e[0] * e[1] + e[1] * e[2] + e[0] * e[2])
     if isinstance(body, Halfspaces):
-        raise Unsupported("no closed-form surface area for a halfspace system")
+        from scipy.spatial import ConvexHull
+        return float(ConvexHull(body.vertices).area)
     raise TypeError(f"not a convex body: {type(body).__name__}")
 
 
-def bounding_radius(body: ConvexBody, cap: float = 1e9) -> float:
-    """Radius of an origin-centered ball containing the body.
+def bounding_radius(body: ConvexBody) -> float:
+    """Radius of the smallest origin-centered ball containing the body.
 
-    Exact for Ball and Box.  For Halfspaces, lines through the origin along
-    26 lattice directions are clipped against the system; the largest finite
-    entry/exit distance times a 1.1 slack is returned.  Raises Unbounded when
-    any probe interval is infinite or beyond ``cap``, or when every probe
-    misses (the probe then says nothing about the body).
+    Exact for every body: for Halfspaces, the largest vertex norm.
     """
     if isinstance(body, Ball):
         return float(np.sqrt(np.sum(body.center**2)) + body.radius)
     if isinstance(body, Box):
         corner = np.maximum(np.abs(body.lo), np.abs(body.hi))
         return float(np.sqrt(np.sum(corner**2)))
-    if not isinstance(body, Halfspaces):
-        raise TypeError(f"not a convex body: {type(body).__name__}")
-    d = _PROBE_DIRS @ body.normals.T
-    enter, leave = _slab_interval(d, np.broadcast_to(body.offsets, d.shape))
-    nonempty = leave > enter
-    if not np.any(nonempty):
-        raise Unbounded("all 26 probe rays miss; cannot bound the body")
-    far = np.maximum(np.abs(enter[nonempty]), np.abs(leave[nonempty]))
-    worst = float(np.max(far))
-    if not np.isfinite(worst) or worst > cap:
-        raise Unbounded(f"probe distance {worst:.3g} exceeds cap {cap:.3g}")
-    return _PROBE_SLACK * worst
+    if isinstance(body, Halfspaces):
+        return float(np.max(np.sqrt(np.sum(body.vertices**2, axis=1))))
+    raise TypeError(f"not a convex body: {type(body).__name__}")
 
 
 def _floats(text: str, want: int, what: str) -> list[float]:

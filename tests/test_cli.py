@@ -176,6 +176,65 @@ def test_chord_bad_body_exits_2(capsys):
     assert code == 2 and err != ""
 
 
+def _halfspace_body(tmp_path, normals, offsets):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps([{"normal": list(map(float, nv)), "offset": float(c)}
+                                for nv, c in zip(normals, offsets)]))
+    return f"halfspaces:@{path}"
+
+
+_AXES = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
+                  [0, 0, 1.0], [0, 0, -1.0]])
+
+
+def _prism(tmp_path):
+    """20 x 0.1 x 0.1, centred on the origin, long side along (1, 2, 0.3)."""
+    a = np.array([1.0, 2.0, 0.3]) / np.sqrt(5.09)
+    b = np.cross(a, [0.0, 0.0, 1.0])
+    b /= np.sqrt(np.sum(b * b))
+    c = np.cross(a, b)
+    return _halfspace_body(tmp_path, [a, -a, b, -b, c, -c],
+                           [10, 10, 0.05, 0.05, 0.05, 0.05])
+
+
+def test_chord_prism_needs_its_true_radius(tmp_path, capsys):
+    # the farthest vertex is at 10.00025, far beyond the 0.05 half-width
+    body = _prism(tmp_path)
+    code, _, err = _run(capsys, ["chord", "--body", body, "--radius", "0.2",
+                                 "--n", "100", "--seed", "1"])
+    assert code == 2 and "InsufficientRadius" in err
+    code, out, _ = _run(capsys, ["chord", "--body", body, "--radius", "10.1",
+                                 "--n", "200000", "--seed", "1"])
+    assert code == 0
+    rep = json.loads(out)
+    assert set(rep["tests"]) == {"hit_rate_z", "mean_chord_z"}
+    assert rep["oracle_values"]["mean_chord_given_hit"] == pytest.approx(
+        0.8 / 8.02, rel=1e-12)
+
+
+def test_chord_cube_halfspaces_runs_at_box_radius(tmp_path, capsys):
+    body = _halfspace_body(tmp_path, _AXES, [1, 0, 1, 0, 1, 0])
+    code, out, _ = _run(capsys, ["chord", "--body", body, "--radius", "1.8",
+                                 "--n", "100000", "--seed", "2"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["oracle_values"] == {"hit_rate": pytest.approx(6 / (4 * np.pi * 1.8**2)),
+                                    "mean_chord_given_hit": pytest.approx(4 / 6)}
+    assert set(rep["tests"]) == {"hit_rate_z", "mean_chord_z"}
+
+
+@pytest.mark.parametrize("normals,offsets", [
+    (_AXES[:1], [1]),                     # slab
+    (_AXES[:4], [1, 1, 1, 1]),            # infinite square prism
+    (_AXES, [0, 0, 1, 1, 1, 1]),          # box of zero width
+], ids=["slab", "square-prism", "flat-box"])
+def test_chord_bad_halfspaces_exit_2(normals, offsets, tmp_path, capsys):
+    body = _halfspace_body(tmp_path, normals, offsets)
+    code, out, err = _run(capsys, ["chord", "--body", body, "--radius", "10",
+                                   "--n", "100", "--seed", "1"])
+    assert code == 2 and out == "" and err != ""
+
+
 def test_chord_no_hits_exits_1(capsys):
     code, out, _ = _run(capsys, ["chord", "--body", "ball:0,0,0,1e-9",
                                  "--radius", "1", "--n", "100", "--seed", "1"])
@@ -228,6 +287,29 @@ def test_bad_axis_exits_2(capsys):
     assert code == 2 and "--axis" in err
 
 
+@pytest.mark.parametrize("axis", ["1e200,0,0", "1e-200,0,0"])
+def test_extreme_axis_scales(axis, tmp_path, capsys):
+    # the axis is a direction: its length must neither overflow nor vanish
+    def rows(ax):
+        out = tmp_path / "lines.csv"
+        code = main(["bundle", "--density", "tilt", "--n", "50", "--seed", "2",
+                     "--axis", ax, "--out", str(out)])
+        assert code == 0
+        return [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+
+    def audit(ax):
+        code, out, _ = _run(capsys, ["gauge-audit", "--n", "2000", "--seed",
+                                     "3", "--density", "foot-tilt",
+                                     "--axis", ax])
+        assert code == 0
+        rep = json.loads(out)
+        return rep["estimates"], rep["deviations"]
+
+    assert rows(axis) == rows("1,0,0")
+    assert audit(axis) == audit("1,0,0")
+
+
 @pytest.mark.parametrize("axis", ["nan,0,0", "inf,0,0", "0,0,0"])
 def test_gauge_audit_bad_axis_exits_2(axis, capsys):
     code, out, err = _run(capsys, ["gauge-audit", "--n", "100", "--seed", "1",
@@ -266,26 +348,33 @@ def test_console_entry_point():
 
 def test_no_scipy_import_outside_haar_test():
     # scipy costs a quarter second to import; only haar-test's chi-square
-    # test needs it
+    # test and halfspace bodies need it
     check = "import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
     proc = subprocess.run(
         [sys.executable, "-c", "import fiberline.cli\n" + check],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    # the same after a full `python -m fiberline sample --n 10`
-    run = ("import runpy, sys\n"
-           "sys.argv = ['fiberline', 'sample', '--n', '10']\n"
-           "try:\n"
-           "    runpy.run_module('fiberline', run_name='__main__')\n"
-           "except SystemExit as exc:\n"
-           "    assert exc.code == 0, exc.code\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", run + check],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "ux,uy,uz,qx,qy,qz" in proc.stdout
+    # the same after a full `python -m fiberline ...` run
+    for argv, marker in (
+        (["sample", "--n", "10"], "ux,uy,uz,qx,qy,qz"),
+        (["chord", "--body", "ball:0,0,0,1", "--radius", "2", "--n", "10"],
+         '"hit_rate_z"'),
+        (["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
+          "--n", "10"], '"hit_rate_z"'),
+    ):
+        run = ("import runpy, sys\n"
+               f"sys.argv = {['fiberline', *argv]!r}\n"
+               "try:\n"
+               "    runpy.run_module('fiberline', run_name='__main__')\n"
+               "except SystemExit as exc:\n"
+               "    assert exc.code == 0, exc.code\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", run + check],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert marker in proc.stdout
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fiberline.errors import Unbounded, Unsupported
+from fiberline.errors import Unbounded
 from fiberline.geometry import (
     Ball,
     Box,
@@ -17,6 +19,7 @@ from fiberline.geometry import (
 )
 from fiberline.linespace import DirectedLine, point_at
 from fiberline.bundle import sample_isotropic
+from fiberline.haar import quat_to_rotation
 from fiberline.randkit import make_rng
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -145,17 +148,40 @@ def test_halfspaces_match_box():
         assert np.array_equal(got, [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
-def test_halfspaces_constants_unsupported():
+def test_halfspaces_constants_exact():
     hs = _cube_halfspaces()
-    with pytest.raises(Unsupported):
-        volume(hs)
-    with pytest.raises(Unsupported):
-        surface_area(hs)
+    assert abs(volume(hs) - 1.0) < 1e-15
+    assert abs(surface_area(hs) - 6.0) < 1e-14
 
 
 def test_halfspaces_bounding_radius_covers_cube():
     r = bounding_radius(_cube_halfspaces())
-    assert np.sqrt(3.0) <= r <= 1.1 * np.sqrt(3.0) + 1e-12
+    assert abs(r - np.sqrt(3.0)) <= 1e-15
+
+
+_quaternions = st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(
+    lambda q: np.sum(np.square(q)) > 0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.1, 10), min_size=3, max_size=3),
+       st.lists(st.floats(-10, 10), min_size=3, max_size=3), _quaternions)
+def test_moved_box_halfspaces_exact(edges, shift, q):
+    """A box moved rigidly and written as 6 halfspaces has the box's V, S
+    and farthest-corner radius."""
+    e = np.array(edges)
+    rot = quat_to_rotation(np.array(q) / np.sqrt(np.sum(np.square(q))))
+    normals = np.vstack([rot.T, -rot.T])  # rows: +-(rotated axes)
+    centre_off = rot.T @ np.array(shift)
+    offsets = np.concatenate([centre_off + e / 2, -centre_off + e / 2])
+    hs = Halfspaces(normals, offsets)
+    signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+    corners = (signs * e / 2) @ rot.T + shift
+    radius = float(np.max(np.sqrt(np.sum(corners**2, axis=1))))
+    for got, want in ((volume(hs), np.prod(e)),
+                      (surface_area(hs), 2 * (e[0] * e[1] + e[1] * e[2] + e[0] * e[2])),
+                      (bounding_radius(hs), radius)):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_unbounded_rejected_at_construction():
@@ -166,6 +192,17 @@ def test_unbounded_rejected_at_construction():
             np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]]),
             np.ones(4),
         )  # infinite square prism
+
+
+@pytest.mark.parametrize("offsets", [
+    [0.0, 0.0, 1.0, 1.0, 1.0, 1.0],   # zero width in x
+    [1.0, -2.0, 1.0, 1.0, 1.0, 1.0],  # x <= 1 and x >= 2
+], ids=["flat", "empty"])
+def test_halfspaces_without_interior_rejected(offsets):
+    normals = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
+                        [0, 0, 1.0], [0, 0, -1.0]])
+    with pytest.raises(ValueError, match="empty interior"):
+        Halfspaces(normals, np.array(offsets))
 
 
 def test_halfspaces_validation():
