@@ -106,8 +106,8 @@ class LineDensity:
             raise ValueError("disk_radius must be positive and finite")
 
 
-def _act_arrays(h, g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circle action on raw (g, r) arrays; h is a scalar or (n,) array."""
+def _spin(h, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame(s) g Rz(h) with cos h and sin h; h is a scalar or (n,) array."""
     h = np.asarray(h, dtype=np.float64)
     ch, sh = np.cos(h), np.sin(h)
     zeros = np.zeros_like(ch)
@@ -120,11 +120,21 @@ def _act_arrays(h, g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
         ],
         axis=-2,
     )
-    g2 = g @ rz
+    return g @ rz, ch, sh
+
+
+def _turn(c, s, r: np.ndarray) -> np.ndarray:
+    """Offset coordinates r rotated counterclockwise by the angle whose
+    cosine and sine are c and s."""
     r1, r2 = r[..., 0], r[..., 1]
+    return np.stack([c * r1 - s * r2, s * r1 + c * r2], axis=-1)
+
+
+def _act_arrays(h, g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Circle action on raw (g, r) arrays; h is a scalar or (n,) array."""
+    g2, ch, sh = _spin(h, g)
     # R(-h) r: clockwise counter-rotation of the offset coordinates
-    r_new = np.stack([ch * r1 + sh * r2, -sh * r1 + ch * r2], axis=-1)
-    return g2, r_new
+    return g2, _turn(ch, -sh, r)
 
 
 def act(h, pt: BundlePoint) -> BundlePoint:
@@ -134,17 +144,6 @@ def act(h, pt: BundlePoint) -> BundlePoint:
     """
     g2, r2 = _act_arrays(h, pt.g, pt.r)
     return BundlePoint(g2, r2)
-
-
-def _act_broken_arrays(h, g, r):
-    """Deliberately wrong action (offset rotated with +h instead of -h);
-    kept as the negative control for gauge-invariance audits."""
-    h = np.asarray(h, dtype=np.float64)
-    g2, _ = _act_arrays(h, g, r)
-    ch, sh = np.cos(h), np.sin(h)
-    r1, r2 = r[..., 0], r[..., 1]
-    r_new = np.stack([ch * r1 - sh * r2, sh * r1 + ch * r2], axis=-1)
-    return g2, r_new
 
 
 def _project_arrays(g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +191,6 @@ def sample_bundle(
     n: int | None = None,
     *,
     return_stats: bool = False,
-    stall_acceptance: float = 1e-6,
     stall_proposals: int = 1_000_000,
 ):
     """Bundle point(s) distributed as density.f times the product of the
@@ -200,9 +198,9 @@ def sample_bundle(
 
     Plain rejection: propose (frame, disk offset), keep with probability
     f/bound.  Raises BoundViolated if f exceeds the bound beyond roundoff,
-    NonFinite on NaN/inf densities, RejectionStall when fewer than
-    ``stall_acceptance`` of at least ``stall_proposals`` candidates were
-    kept.  With ``return_stats=True`` also returns :class:`AcceptanceStats`.
+    NonFinite on NaN/inf densities, RejectionStall when fewer than a 1e-6
+    fraction of at least ``stall_proposals`` candidates were kept.  With
+    ``return_stats=True`` also returns :class:`AcceptanceStats`.
     """
     m, single = _batch(n)
     g_out = np.empty((m, 3, 3), dtype=np.float64)
@@ -210,7 +208,7 @@ def sample_bundle(
     stats = _rejection(
         rng,
         lambda k: (sample_rotation(rng, k), sample_disk(rng, density.disk_radius, k)),
-        density.f, density.bound, (g_out, r_out), stall_acceptance, stall_proposals,
+        density.f, density.bound, (g_out, r_out), stall_proposals,
     )
     pt = BundlePoint(g_out[0], r_out[0]) if single else BundlePoint(g_out, r_out)
     if return_stats:

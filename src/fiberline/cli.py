@@ -186,6 +186,12 @@ def _report(argv: list[str], seed: int, n: int, experiment: str, *,
     return rep
 
 
+def _require_samples(args) -> None:
+    """Experiments estimate from their samples, so --n 0 is a usage error."""
+    if args.n < 1:
+        raise ValueError("n must be positive")
+
+
 def _axis_of(args) -> list[float]:
     parts = args.axis.split(",")
     if len(parts) != 3:
@@ -286,6 +292,7 @@ def _cmd_bertrand(args, argv: list[str]) -> int:
 
 
 def _cmd_chord(args, argv: list[str]) -> int:
+    _require_samples(args)
     seed = _seed_of(args)
     body = parse_body(args.body)
     ch = np.concatenate(
@@ -319,6 +326,7 @@ def _cmd_chord(args, argv: list[str]) -> int:
 
 
 def _cmd_haar_test(args, argv: list[str]) -> int:
+    _require_samples(args)
     seed = _seed_of(args)
     q = np.concatenate(
         _run_shards(seed, args.threads, args.n,
@@ -373,7 +381,7 @@ def _cmd_gauge_audit(args, argv: list[str]) -> int:
     density = _make_density(args)
     est_fn = _estimator_of(args)
     correct = gauge_audit(make_rng(seed), density, est_fn, args.n)
-    broken = gauge_audit(make_rng(seed), density, est_fn, args.n, broken=True)
+    broken = correct.broken
     passed = (
         correct.max_direction_dev <= 1e-10
         and correct.max_foot_dev <= 1e-10

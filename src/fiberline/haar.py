@@ -43,6 +43,7 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _TINY_NORM = 1e-6  # gaussian/ball vectors shorter than this are redrawn
+_STALL_ACCEPTANCE = 1e-6  # rejection loops keeping less than this stall
 
 
 @dataclass(frozen=True)
@@ -226,19 +227,7 @@ def hopf_map(q: np.ndarray) -> np.ndarray:
     Constant along circles q -> q * (cos t, 0, 0, sin t), i.e. the fibers of
     the map S^3 -> S^2.  Raises NotUnit like :func:`quat_to_rotation`.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[-1] != 4:
-        raise ValueError("quaternion must have 4 components")
-    q = _check_unit(q, "quaternion")
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            2.0 * (x * z + w * y),
-            2.0 * (y * z - w * x),
-            1.0 - 2.0 * (x * x + y * y),
-        ],
-        axis=-1,
-    )
+    return quat_to_rotation(q)[..., :, 2]
 
 
 def sample_s3_density(
@@ -249,7 +238,6 @@ def sample_s3_density(
     *,
     projective: bool = False,
     return_stats: bool = False,
-    stall_acceptance: float = 1e-6,
     stall_proposals: int = 1_000_000,
 ):
     """Quaternions distributed as f(q) times the uniform S^3 measure.
@@ -268,9 +256,8 @@ def sample_s3_density(
     Raises
     ------
     BoundViolated if f exceeds ``bound`` beyond roundoff, NonFinite on NaN or
-    infinite density values, RejectionStall if fewer than a
-    ``stall_acceptance`` fraction of at least ``stall_proposals`` candidates
-    were kept.
+    infinite density values, RejectionStall if fewer than a 1e-6 fraction of
+    at least ``stall_proposals`` candidates were kept.
     """
     if not (np.isfinite(bound) and bound > 0.0):
         raise ValueError("bound must be positive and finite")
@@ -286,7 +273,7 @@ def sample_s3_density(
             )
 
     stats = _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
-                       (out,), stall_acceptance, stall_proposals,
+                       (out,), stall_proposals,
                        audit=antipodal if projective else None)
     res = out[0] if single else out
     if return_stats:
@@ -300,7 +287,6 @@ def _rejection(
     f: Callable[..., np.ndarray],
     bound: float,
     outs: tuple[np.ndarray, ...],
-    stall_acceptance: float,
     stall_proposals: int,
     audit: Callable[..., None] | None = None,
 ) -> AcceptanceStats:
@@ -344,7 +330,7 @@ def _rejection(
             out[got:got + idx.size] = p[idx]
         got += idx.size
         rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
-        if proposals >= stall_proposals and accepted < stall_acceptance * proposals:
+        if proposals >= stall_proposals and accepted < _STALL_ACCEPTANCE * proposals:
             raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
     return AcceptanceStats(accepted, proposals)
 

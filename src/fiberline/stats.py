@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import _act_broken_arrays, _project_arrays, LineDensity, \
-    act, project_to_line, sample_bundle, sample_disk, sample_isotropic
+from .bundle import _spin, _turn, BundlePoint, LineDensity, \
+    project_to_line, sample_bundle, sample_disk, sample_isotropic
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
     TooFewSamples
 from .geometry import Ball, ConvexBody, bounding_radius, chord, \
@@ -74,13 +74,16 @@ class GaugeAudit:
     """Before/after estimates for a random gauge move, plus the largest
     projected-line discrepancies it introduced.
 
-    Unpacks as the pair ``(base, acted)``.
+    ``broken`` is the negative control: the same audit, over the same bundle
+    points and angles, of a deliberately wrong move (its own ``broken`` is
+    None).  Unpacks as the pair ``(base, acted)``.
     """
 
     base: Estimate
     acted: Estimate
     max_direction_dev: float
     max_foot_dev: float
+    broken: GaugeAudit | None = None
 
     def __iter__(self):
         return iter((self.base, self.acted))
@@ -454,32 +457,33 @@ def gauge_audit(
     density: LineDensity,
     estimator: Callable[[DirectedLine], np.ndarray],
     n: int,
-    *,
-    broken: bool = False,
 ) -> GaugeAudit:
     """Estimate a line functional before and after a random gauge move.
 
-    Bundle points are drawn from ``density``, each is pushed by an
-    independent uniform circle angle (with the correct action, or the
-    deliberately wrong one when ``broken``), and ``estimator`` maps the
-    projected lines to one value per line.  With the correct action the
-    projected lines — hence the estimates — must agree; the broken action
-    shows up as a line-level deviation and, for foot-sensitive estimators, a
-    many-sigma estimate gap.
+    Bundle points are drawn from ``density`` and each is pushed by an
+    independent uniform circle angle h; ``estimator`` maps projected lines
+    to one value per line.  The correct action turns the offsets by R(-h)
+    against the frame, so the projected lines — hence the estimates — must
+    agree.  On the same draw, the negative control in ``.broken`` turns them
+    by R(+h) instead; it shows up as a line-level deviation and, for
+    foot-sensitive estimators, a many-sigma estimate gap.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     pts = sample_bundle(rng, density, n)
     h = 2.0 * np.pi * rng.uniforms(n)
+    g2, ch, sh = _spin(h, pts.g)
     base_lines = project_to_line(pts)
-    if broken:
-        g2, r2 = _act_broken_arrays(h, pts.g, pts.r)
-        acted_lines = DirectedLine(*_project_arrays(g2, r2))
-    else:
-        acted_lines = project_to_line(act(h, pts))
-    du = float(np.max(np.abs(base_lines.u - acted_lines.u)))
-    df = float(np.max(np.abs(base_lines.foot - acted_lines.foot)))
     base = estimate_from_samples(np.asarray(estimator(base_lines), np.float64))
-    acted = estimate_from_samples(np.asarray(estimator(acted_lines), np.float64))
-    return GaugeAudit(base, acted, du, df)
+
+    def moved(r2: np.ndarray) -> tuple[Estimate, float, float]:
+        acted_lines = project_to_line(BundlePoint(g2, r2))
+        acted = np.asarray(estimator(acted_lines), np.float64)
+        return (estimate_from_samples(acted),
+                float(np.max(np.abs(base_lines.u - acted_lines.u))),
+                float(np.max(np.abs(base_lines.foot - acted_lines.foot))))
+
+    correct = moved(_turn(ch, -sh, pts.r))  # R(-h) r: the circle action
+    wrong = moved(_turn(ch, sh, pts.r))     # R(+h) r: the negative control
+    return GaugeAudit(base, *correct, broken=GaugeAudit(base, *wrong))

@@ -135,7 +135,7 @@ def test_criterion_6_gauge_invariance():
                         lambda lines: chord(UNIT_BALL, lines), 100_000)
     broken = gauge_audit(make_rng(602), foot_tilt_density(4.0),
                          lambda lines: lines.foot @ np.array([0.0, 0.0, 1.0]),
-                         100_000, broken=True)
+                         100_000).broken
     ok = dev < 1e-10 and audit.gap < 1e-10 and broken.gap_sigma > 3.0
     _verdict("criterion 6, gauge invariance", ok,
              f"line dev {dev:.2e}, audit gap {audit.gap:.2e}, "

@@ -274,6 +274,36 @@ def test_gauge_audit_direction_estimator_cannot_see_break(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_gauge_audit_draws_once(capsys, monkeypatch):
+    # the negative control reuses the audit's bundle points
+    import fiberline.stats
+    calls = []
+    real = fiberline.stats.sample_bundle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fiberline.stats, "sample_bundle", counted)
+    code, out, _ = _run(capsys, ["gauge-audit", "--n", "2000", "--seed", "5",
+                                 "--density", "foot-tilt"])
+    assert code == 0
+    assert len(calls) == 1
+    assert "broken_acted" in json.loads(out)["estimates"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chord", "--body", "ball:0,0,0,1", "--radius", "2"],
+    ["haar-test"],
+    ["bertrand", "--method", "midpoint"],
+    ["gauge-audit"],
+], ids=["chord", "haar-test", "bertrand", "gauge-audit"])
+def test_experiment_without_samples_exits_2(argv, capsys):
+    code, out, err = _run(capsys, [*argv, "--n", "0", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: n must be positive\n"
+
+
 def test_sampler_error_exits_3(capsys):
     code, _, err = _run(capsys, ["bundle", "--n", "10000", "--seed", "1",
                                  "--density", "tilt", "--kappa", "1e9"])

@@ -70,6 +70,15 @@ GOLDEN = [
      ["gauge-audit", "--density", "foot-tilt", "--n", "5000",
       "--seed", "7"], 0,
      "3918f1f34edb80e4b1abb65489e462ab96ba2e13fdae5e097502d8ec51ac1ba1"),
+    # the negative control goes undetected, so these audits report failure
+    ("gauge-tilt-direction",
+     ["gauge-audit", "--density", "tilt", "--kappa", "2", "--estimator",
+      "direction-axis2", "--n", "2000", "--seed", "11"], 1,
+     "9684821cb1d3839a67200c9f35c3563648c3f6ac9e9eee9112fdf24435f0ad7b"),
+    ("gauge-uniform-chord",
+     ["gauge-audit", "--density", "uniform", "--estimator", "chord-ball",
+      "--n", "2000", "--seed", "11"], 1,
+     "86a99b6b9d1bda07ec289893a88c3c0584ba61dfbe5edcae985210b20d52d8ed"),
 ]
 
 

@@ -381,14 +381,26 @@ def test_gauge_audit_unpacks_as_pair():
     assert abs(baseline.mean - shifted.mean) < 1e-10
 
 
+def test_gauge_audit_control_shares_the_draw():
+    # the negative control is audited over the same bundle points, so its
+    # base estimate is the audit's own, and it carries no control of its own
+    audit = gauge_audit(
+        make_rng(33), foot_tilt_density(4.0),
+        lambda lines: lines.foot @ np.array([0.0, 0.0, 1.0]), 5000,
+    )
+    assert audit.broken.base == audit.base
+    assert audit.broken.broken is None
+    assert audit.broken.acted != audit.acted
+
+
 def test_broken_action_caught_by_foot_estimator():
     """Negative control: rotating the offset the wrong way moves the foot,
     and a foot-sensitive estimator sees it at many sigma."""
     audit = gauge_audit(
         make_rng(31), foot_tilt_density(4.0),
         lambda lines: lines.foot @ np.array([0.0, 0.0, 1.0]),
-        100_000, broken=True,
-    )
+        100_000,
+    ).broken
     assert audit.max_foot_dev > 1e-3   # the lines themselves moved
     assert audit.max_direction_dev < 1e-10  # but directions never move
     assert audit.gap_sigma > 3.0
@@ -399,7 +411,7 @@ def test_broken_action_invisible_to_direction_estimator():
     # this is why the audit needs a foot-sensitive functional
     audit = gauge_audit(
         make_rng(32), tilt_density(2.0),
-        lambda lines: lines.u[:, 2] ** 2, 20_000, broken=True,
-    )
+        lambda lines: lines.u[:, 2] ** 2, 20_000,
+    ).broken
     assert audit.max_direction_dev < 1e-10
     assert audit.gap < 1e-10
