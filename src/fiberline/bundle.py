@@ -164,7 +164,7 @@ def sample_disk(rng: RngStream, radius: float, n: int | None = None) -> np.ndarr
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be positive and finite")
     m, single = _batch(n)
-    out, _ = _cube_rejection(rng, m, 2)
+    out = _cube_rejection(rng, m, 2)
     out *= radius
     return out[0] if single else out
 
@@ -236,10 +236,9 @@ def sample_cosine_surface(
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
     u = cos_a[:, None] * normal_in + sin_a[:, None] * tang
     foot = surf - np.sum(surf * u, axis=1, keepdims=True) * u
-    dl = DirectedLine(u, foot)
     if single:
-        return DirectedLine(dl.u[0], dl.foot[0])
-    return dl
+        return DirectedLine(u[0], foot[0])
+    return DirectedLine(u, foot)
 
 
 def symmetrize_density(
@@ -295,6 +294,8 @@ def tilt_density(kappa: float, axis=(0.0, 0.0, 1.0),
     negative kappa the maximum sits at u . axis = -1, giving exp(-2 kappa).
     """
     kappa = float(kappa)
+    if not np.isfinite(kappa):
+        raise ValueError("kappa must be finite")
     a = _unit_axis(axis)
     bound = 1.0 if kappa >= 0.0 else float(np.exp(-2.0 * kappa))
 

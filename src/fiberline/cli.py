@@ -508,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientRadius as exc:
         print(f"InsufficientRadius: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FiberlineError as exc:

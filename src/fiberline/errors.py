@@ -66,8 +66,8 @@ class DegenerateWeights(FiberlineError):
     """Importance weights collapsed onto too few samples to trust."""
 
 
-class TooFewSamples(FiberlineError):
-    """Not enough samples for the requested statistical test."""
+class TooFewSamples(FiberlineError, ValueError):
+    """Not enough samples for the requested statistical test (a usage error)."""
 
 
 class Unbounded(FiberlineError, ValueError):

@@ -6,6 +6,10 @@ the two preimages q and -q give the same rotation.  A tunable rejection
 sampler reweights S^3 by a user density, optionally treating antipodal
 points as identified.
 
+Every draw ends in one of two kernels: ``_redraw`` draws rejected geometric
+candidates again (cube points outside the ball, vectors too short to
+normalize), and ``_rejection`` keeps proposals with probability f/bound.
+
 All samplers follow one batch convention: ``n=None`` returns a single item,
 ``n=k`` returns a leading axis of length k, and a single item is computed as
 a batch of one (so scalar and batch runs consume the random stream
@@ -67,18 +71,32 @@ def _batch(n: int | None) -> tuple[int, bool]:
     return n, False
 
 
-def _unit_gaussians(rng: RngStream, m: int, dim: int) -> np.ndarray:
-    """m unit vectors in R^dim from normalized gaussians, redrawing the
-    (astronomically rare) rows whose norm underflows below _TINY_NORM."""
+def _redraw(m: int, dim: int, draw: Callable) -> np.ndarray:
+    """m rows in R^dim: ``draw(pending)`` makes one candidate for each pending
+    row index and returns the keep mask and the kept rows; rejected rows are
+    drawn again."""
     out = np.empty((m, dim), dtype=np.float64)
     pending = np.arange(m)
     while pending.size:
-        g = rng.gaussians(dim * pending.size).reshape(-1, dim)
-        nrm = np.sqrt(np.sum(g * g, axis=1))
-        ok = nrm > _TINY_NORM
-        out[pending[ok]] = g[ok] / nrm[ok, None]
+        ok, kept = draw(pending)
+        out[pending[ok]] = kept
         pending = pending[~ok]
     return out
+
+
+def _normalized(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep mask of the rows of v longer than _TINY_NORM, and those rows
+    scaled to unit length."""
+    nrm = np.sqrt(np.sum(v * v, axis=1))
+    ok = nrm > _TINY_NORM
+    return ok, v[ok] / nrm[ok, None]
+
+
+def _unit_gaussians(rng: RngStream, m: int, dim: int) -> np.ndarray:
+    """m unit vectors in R^dim from normalized gaussians, redrawing the
+    (astronomically rare) rows whose norm underflows below _TINY_NORM."""
+    return _redraw(m, dim, lambda pending: _normalized(
+        rng.gaussians(dim * pending.size).reshape(-1, dim)))
 
 
 def sample_sphere2(rng: RngStream, n: int | None = None) -> np.ndarray:
@@ -95,41 +113,27 @@ def sample_sphere3(rng: RngStream, n: int | None = None) -> np.ndarray:
     return out[0] if single else out
 
 
-def sample_ball3(
-    rng: RngStream,
-    n: int | None = None,
-    return_stats: bool = False,
-):
+def sample_ball3(rng: RngStream, n: int | None = None) -> np.ndarray:
     """Uniform point(s) in the closed unit ball via cube rejection.
 
     Candidates are uniform in [-1, 1)^3 and kept when inside the ball, so the
-    long-run acceptance rate is the volume ratio pi/6.  With
-    ``return_stats=True`` also returns :class:`AcceptanceStats`.
+    long-run acceptance rate is the volume ratio pi/6.  Each candidate costs
+    three random words, so a draw that used w words saw w/3 candidates.
     """
     m, single = _batch(n)
-    out, stats = _cube_rejection(rng, m, 3)
-    res = out[0] if single else out
-    if return_stats:
-        return res, stats
-    return res
+    out = _cube_rejection(rng, m, 3)
+    return out[0] if single else out
 
 
-def _cube_rejection(rng: RngStream, m: int, dim: int
-                    ) -> tuple[np.ndarray, AcceptanceStats]:
+def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m uniform points of the closed unit ball in R^dim: candidates uniform
     in [-1, 1)^dim, rows outside the ball redrawn."""
-    out = np.empty((m, dim), dtype=np.float64)
-    accepted = 0
-    proposals = 0
-    pending = np.arange(m)
-    while pending.size:
+    def draw(pending):
         c = 2.0 * rng.uniforms(dim * pending.size).reshape(-1, dim) - 1.0
         ok = np.sum(c * c, axis=1) <= 1.0
-        proposals += pending.size
-        accepted += int(np.count_nonzero(ok))
-        out[pending[ok]] = c[ok]
-        pending = pending[~ok]
-    return out, AcceptanceStats(accepted, proposals)
+        return ok, c[ok]
+
+    return _redraw(m, dim, draw)
 
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
@@ -250,7 +254,7 @@ def sample_s3_density(
     bound : float
         Rejection bound M; proposals are kept with probability f(q)/M.
     projective : bool
-        Declare f antipodally symmetric.  The first accepted batch is audited
+        Declare f antipodally symmetric.  The first 1000 samples are audited
         (|f(q) - f(-q)| <= 1e-12) and AntipodalViolation raised otherwise.
 
     Raises
@@ -263,18 +267,15 @@ def sample_s3_density(
         raise ValueError("bound must be positive and finite")
     m, single = _batch(n)
     out = np.empty((m, 4), dtype=np.float64)
-
-    def antipodal(q):
-        qa = q[:1000]
-        diff = np.abs(np.asarray(f(qa), float) - np.asarray(f(-qa), float))
+    stats = _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
+                       (out,), stall_proposals)
+    if projective and m > 0:
+        q = out[:1000]
+        diff = np.abs(np.asarray(f(q), float) - np.asarray(f(-q), float))
         if np.any(diff > 1e-12):
             raise AntipodalViolation(
                 f"f(q) and f(-q) differ by up to {float(diff.max()):.3e}"
             )
-
-    stats = _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
-                       (out,), stall_proposals,
-                       audit=antipodal if projective else None)
     res = out[0] if single else out
     if return_stats:
         return res, stats
@@ -288,14 +289,12 @@ def _rejection(
     bound: float,
     outs: tuple[np.ndarray, ...],
     stall_proposals: int,
-    audit: Callable[..., None] | None = None,
 ) -> AcceptanceStats:
     """Fill ``outs``, arrays sharing a leading axis of length m, by rejection.
 
     ``propose(k)`` returns one k-row array per output; ``f`` maps them to k
     density values in [0, bound], and a proposal is kept when a uniform times
-    ``bound`` falls below its value.  ``audit``, if given, sees the first
-    nonempty batch of kept proposals.  Raises ValueError on a misshapen
+    ``bound`` falls below its value.  Raises ValueError on a misshapen
     density, NonFinite, BoundViolated and RejectionStall as documented on
     :func:`sample_s3_density`.
     """
@@ -321,11 +320,7 @@ def _rejection(
         keep = rng.uniforms(k) * bound < val
         proposals += k
         accepted += int(np.count_nonzero(keep))
-        idx = np.flatnonzero(keep)
-        if audit is not None and idx.size:
-            audit(*(p[idx] for p in props))
-            audit = None
-        idx = idx[:want]
+        idx = np.flatnonzero(keep)[:want]
         for out, p in zip(outs, props):
             out[got:got + idx.size] = p[idx]
         got += idx.size
@@ -373,16 +368,13 @@ def tangent_from_ball(
         us = u
         m, single = u.shape[0], False
     us = _check_unit(us, "direction")
-    out = np.empty((m, 3), dtype=np.float64)
-    pending = np.arange(m)
-    while pending.size:
+
+    def draw(pending):
         b = sample_ball3(rng, pending.size)
         ub = us[pending]
-        t = b - np.sum(b * ub, axis=1)[:, None] * ub
-        nrm = np.sqrt(np.sum(t * t, axis=1))
-        ok = nrm > _TINY_NORM
-        out[pending[ok]] = t[ok] / nrm[ok, None]
-        pending = pending[~ok]
+        return _normalized(b - np.sum(b * ub, axis=1)[:, None] * ub)
+
+    out = _redraw(m, 3, draw)
     return out[0] if single else out
 
 

@@ -63,8 +63,10 @@ class DirectedLine:
             worst = float(np.max(np.abs(nrm - 1.0)))
             raise NotUnit(f"direction norm off by {worst:.3e}")
         dot = np.abs(np.sum(u * foot, axis=-1))
-        # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far feet
-        bound = np.maximum(_FOOT_TOL, _FOOT_REL_TOL * np.linalg.norm(foot, axis=-1))
+        # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far
+        # feet; hypot rescales as it goes, so |foot| cannot overflow
+        nrm = np.hypot(np.hypot(foot[..., 0], foot[..., 1]), foot[..., 2])
+        bound = np.maximum(_FOOT_TOL, _FOOT_REL_TOL * nrm)
         if not np.all(dot <= bound):
             raise ValueError(
                 f"foot not orthogonal to direction (|u.foot| up to "

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import _spin, _turn, BundlePoint, LineDensity, \
+from .bundle import _project_arrays, _spin, _turn, LineDensity, \
     project_to_line, sample_bundle, sample_disk, sample_isotropic
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
     TooFewSamples
@@ -478,7 +478,7 @@ def gauge_audit(
     base = estimate_from_samples(np.asarray(estimator(base_lines), np.float64))
 
     def moved(r2: np.ndarray) -> tuple[Estimate, float, float]:
-        acted_lines = project_to_line(BundlePoint(g2, r2))
+        acted_lines = DirectedLine(*_project_arrays(g2, r2))
         acted = np.asarray(estimator(acted_lines), np.float64)
         return (estimate_from_samples(acted),
                 float(np.max(np.abs(base_lines.u - acted_lines.u))),

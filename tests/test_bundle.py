@@ -23,6 +23,7 @@ from fiberline.bundle import (
 from fiberline.errors import BoundViolated, NonFinite, RejectionStall
 from fiberline.geometry import Ball, chord
 from fiberline.haar import sample_rotation, sample_s3_density
+from fiberline.linespace import DirectedLine
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
 
@@ -308,3 +309,16 @@ def test_cosine_scales_with_radius():
     ch = chord(Ball((0, 0, 0), 3.0), lines)
     rep = ks_test(ch, lambda x: ball_chord_cdf(x, 3.0))
     assert rep.p_value > 0.001
+
+
+def test_cosine_single_line_validated_once(monkeypatch):
+    shapes = []
+    check = DirectedLine.__post_init__
+
+    def counted(self):
+        shapes.append(np.shape(self.u))
+        check(self)
+
+    monkeypatch.setattr(DirectedLine, "__post_init__", counted)
+    line = sample_cosine_surface(make_rng(28), 1.0)
+    assert shapes == [(3,)] and not line.is_batch

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,33 @@ def test_experiment_without_samples_exits_2(argv, capsys):
     assert err == "error: n must be positive\n"
 
 
+@pytest.mark.parametrize("n", ["5", "99"], ids=["ks-needs-8", "chi2-needs-100"])
+def test_haar_test_too_few_samples_exits_2(n, capsys):
+    code, out, err = _run(capsys, ["haar-test", "--n", n, "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["chord", "--body", "halfspaces:@{tmp}/missing.json", "--radius", "2"],
+    ["chord", "--body", "halfspaces:@{tmp}", "--radius", "2"],
+    ["sample", "--out", "{tmp}/missing/x.csv"],
+], ids=["missing-body-file", "body-file-is-directory", "missing-out-directory"])
+def test_unreadable_input_or_output_exits_2(argv, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = _run(capsys, [*argv, "--n", "10", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_nonfinite_kappa_exits_2(kappa, capsys):
+    code, out, err = _run(capsys, ["bundle", "--density", "tilt", "--kappa",
+                                   kappa, "--n", "10", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: kappa must be finite\n"
+
+
 def test_sampler_error_exits_3(capsys):
     code, _, err = _run(capsys, ["bundle", "--n", "10000", "--seed", "1",
                                  "--density", "tilt", "--kappa", "1e9"])
@@ -416,3 +444,12 @@ def test_large_radius_runs(argv, tmp_path):
     # |u.foot| rounding here exceeds 1e-9, so an absolute orthogonality
     # bound would reject these lines and exit 2
     assert main([*argv, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+
+
+def test_huge_radius_warns_nothing(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--radius", "1e308", "--n", "2", "--seed", "0",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []

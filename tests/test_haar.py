@@ -11,6 +11,7 @@ from fiberline.errors import (
     RejectionStall,
 )
 from fiberline.haar import (
+    AcceptanceStats,
     angle_between,
     hopf_map,
     naive_frame,
@@ -81,7 +82,10 @@ def test_w_variance_quadrature():
 
 
 def test_ball3_inside_and_acceptance():
-    pts, st = sample_ball3(make_rng(6), N_BIG, return_stats=True)
+    # every candidate costs three words, so the words used count the proposals
+    rng = make_rng(6)
+    pts = sample_ball3(rng, N_BIG)
+    st = AcceptanceStats(N_BIG, rng._counter // 3)
     assert np.max(np.sum(pts * pts, axis=1)) <= 1.0
     assert abs(st.rate - np.pi / 6.0) < 0.01 * np.pi / 6.0
 

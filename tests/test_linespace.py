@@ -184,6 +184,14 @@ def test_foot_tolerance_scales_with_foot():
         DirectedLine(np.tile(EZ, (2, 1)), [1e8 * ex, ex + 2e-9 * EZ])
 
 
+def test_foot_tolerance_survives_huge_feet():
+    # an unscaled |foot| overflows beyond ~1.3e154, and an infinite bound
+    # would accept any foot
+    with pytest.raises(ValueError):
+        DirectedLine(EZ, [1e200, 0.0, 1e200])
+    DirectedLine(EZ, [1e300, 1e300, 1e288])  # |u.foot| below 5e-12 |foot|
+
+
 def test_batch_len():
     dl = DirectedLine(np.tile(EZ, (4, 1)), np.zeros((4, 3)))
     assert dl.is_batch and len(dl) == 4

@@ -11,6 +11,7 @@ import pytest
 import scipy.special
 
 from fiberline.bundle import (
+    BundlePoint,
     foot_tilt_density,
     sample_isotropic,
     tilt_density,
@@ -391,6 +392,21 @@ def test_gauge_audit_control_shares_the_draw():
     assert audit.broken.base == audit.base
     assert audit.broken.broken is None
     assert audit.broken.acted != audit.acted
+
+
+def test_gauge_audit_validates_bundle_points_once(monkeypatch):
+    # the sampler checks its draw; the moved copies are projected unchecked
+    sizes = []
+    check = BundlePoint.__post_init__
+
+    def counted(self):
+        sizes.append(len(self.g))
+        check(self)
+
+    monkeypatch.setattr(BundlePoint, "__post_init__", counted)
+    gauge_audit(make_rng(34), uniform_density(),
+                lambda lines: lines.foot[:, 2], 100)
+    assert sizes == [100]
 
 
 def test_broken_action_caught_by_foot_estimator():
