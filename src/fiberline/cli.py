@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import (
+    LineDensity,
     _unit_axis,
     foot_tilt_density,
     project_to_line,
@@ -63,7 +64,6 @@ from .geometry import chord as body_chord
 
 __all__ = ["main"]
 
-_DENSITIES = ("uniform", "tilt", "radial", "tilt-radial", "foot-tilt")
 _ESTIMATORS = ("foot-axis", "chord-ball", "direction-axis2")
 
 
@@ -103,17 +103,13 @@ def _manifest(argv: list[str], seed: int, n: int, extra: dict | None = None) -> 
     return m
 
 
-def _shard_sizes(n: int, k: int) -> list[int]:
-    base, extra = divmod(n, k)
-    return [base + (1 if i < extra else 0) for i in range(k)]
-
-
 def _run_shards(seed: int, threads: int, n: int, fn) -> list:
     """fn(stream, count) for each shard; results in stream-id order."""
     if threads < 1:
         raise ValueError("--threads must be at least 1")
     k = max(1, min(int(threads), int(n))) if n > 0 else 1
-    sizes = _shard_sizes(n, k)
+    base, extra = divmod(n, k)
+    sizes = [base + (1 if i < extra else 0) for i in range(k)]
     streams = [split(make_rng(seed), i + 1) for i in range(k)]
     if k == 1:
         return [fn(streams[0], sizes[0])]
@@ -138,20 +134,9 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _print_report(report: dict, out: str | None) -> None:
-    _write(json.dumps(report, indent=2) + "\n", out)
-
-
-def _est_dict(est: Estimate) -> dict:
-    return asdict(est)
-
-
-def _within_3se(est: Estimate, oracle: float) -> bool:
-    return abs(est.mean - oracle) <= 3.0 * est.stderr
-
-
-def _z_test(est: Estimate, oracle: float) -> dict:
-    """Two-sided z-score of an estimate against its exact value.
+def _z_test(est: Estimate, oracle: float) -> tuple[dict, bool]:
+    """Two-sided z-score of an estimate against its exact value, and the
+    3-sigma verdict |mean - oracle| <= 3 stderr.
 
     A zero-stderr mismatch has no finite score; report null to keep the
     output strict JSON.
@@ -163,33 +148,27 @@ def _z_test(est: Estimate, oracle: float) -> dict:
         z, p = 0.0, 1.0
     else:
         z, p = None, 0.0
-    return {"statistic": z, "p_value": p, "n": est.n}
+    passed = abs(est.mean - oracle) <= 3.0 * est.stderr
+    return {"statistic": z, "p_value": p, "n": est.n}, passed
 
 
-def _report(argv: list[str], seed: int, n: int, experiment: str, *,
-            parameters: dict | None = None, estimates: dict | None = None,
-            tests: dict | None = None, oracle_values: dict | None = None,
-            passed: bool, extra: dict | None = None) -> dict:
+def _report(args, argv: list[str], experiment: str, parameters: dict,
+            passed: bool, **fields) -> dict:
+    """An experiment's report: ``fields`` fill the standard keys
+    (estimates, tests, oracle_values) and append their own after them."""
     rep = {
         "experiment": experiment,
-        "parameters": parameters or {},
-        "seed": int(seed),
-        "n": int(n),
-        "estimates": estimates or {},
-        "tests": tests or {},
-        "oracle_values": oracle_values or {},
+        "parameters": parameters,
+        "seed": int(args.seed),
+        "n": int(args.n),
+        "estimates": {},
+        "tests": {},
+        "oracle_values": {},
         "pass": passed,
-        "manifest": _manifest(argv, seed, n),
+        "manifest": _manifest(argv, args.seed, args.n),
     }
-    if extra:
-        rep.update(extra)
+    rep.update(fields)
     return rep
-
-
-def _require_samples(args) -> None:
-    """Experiments estimate from their samples, so --n 0 is a usage error."""
-    if args.n < 1:
-        raise ValueError("n must be positive")
 
 
 def _axis_of(args) -> list[float]:
@@ -202,33 +181,54 @@ def _axis_of(args) -> list[float]:
         raise ValueError(f"--axis is not numeric: {args.axis!r}") from None
 
 
-def _make_density(args):
-    axis = _axis_of(args)
-    r = args.radius
-    if args.density == "uniform":
-        return uniform_density(r)
-    if args.density == "tilt":
-        return tilt_density(args.kappa, axis, r)
-    if args.density == "radial":
-        return radial_density(args.sigma, r)
-    if args.density == "tilt-radial":
-        return tilt_radial_density(args.kappa, args.sigma, axis, r)
-    return foot_tilt_density(args.beta, axis, r)
+# --density name -> (factory, the flags it takes before the disk radius),
+# in the order the flags appear in the report's "parameters"
+_DENSITIES = {
+    "uniform": (uniform_density, ()),
+    "tilt": (tilt_density, ("kappa", "axis")),
+    "radial": (radial_density, ("sigma",)),
+    "tilt-radial": (tilt_radial_density, ("kappa", "sigma", "axis")),
+    "foot-tilt": (foot_tilt_density, ("beta", "axis")),
+}
 
 
-def _density_params(args) -> dict:
-    out = {"density": args.density, "axis": _axis_of(args),
-           "disk_radius": args.radius}
-    if args.density in ("tilt", "tilt-radial"):
-        out["kappa"] = args.kappa
-    if args.density in ("radial", "tilt-radial"):
-        out["sigma"] = args.sigma
-    if args.density == "foot-tilt":
-        out["beta"] = args.beta
-    return out
+def _density_of(args) -> tuple[LineDensity, dict]:
+    """The --density flags' line density and its report parameters."""
+    factory, flags = _DENSITIES[args.density]
+    given = {**vars(args), "axis": _axis_of(args)}
+    params = {"density": args.density, "axis": given["axis"],
+              "disk_radius": args.radius,
+              **{f: given[f] for f in flags if f != "axis"}}
+    return factory(*(given[f] for f in flags), args.radius), params
 
 
-def _emit_lines(lines: DirectedLine, manifest: dict, args) -> None:
+# ---------------------------------------------------------------------------
+# subcommands: sample and bundle write lines; the experiments return a report
+
+def _cmd_sample(args, argv: list[str]) -> None:
+    if args.source == "bundle":
+        density, params = _density_of(args)
+
+        def draw(st, m):
+            pts, stats = sample_bundle(st, density, m, return_stats=True)
+            return project_to_line(pts), stats
+
+        both = _run_shards(args.seed, args.threads, args.n, draw)
+        parts = [lines for lines, _ in both]
+        acc = sum(s.accepted for _, s in both)
+        prop = sum(s.proposals for _, s in both)
+        extra = {
+            "parameters": params,
+            "acceptance_rate": acc / prop if prop else 0.0,
+        }
+    else:
+        source = (sample_isotropic if args.source == "isotropic"
+                  else sample_cosine_surface)
+        parts = _run_shards(args.seed, args.threads, args.n,
+                            lambda st, m: source(st, args.radius, m))
+        extra = None
+    lines = _concat_lines(parts)
+    manifest = _manifest(argv, args.seed, args.n, extra)
     if args.format == "csv":
         comment = "manifest: " + json.dumps(manifest, separators=(",", ":"))
         _write(lines_to_csv(lines, comments=[comment]), args.out)
@@ -236,100 +236,52 @@ def _emit_lines(lines: DirectedLine, manifest: dict, args) -> None:
         _write(lines_to_json(lines, manifest), args.out)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-def _cmd_sample(args, argv: list[str]) -> int:
-    seed = _seed_of(args)
-    radius = args.radius
-    if args.source == "isotropic":
-        parts = _run_shards(seed, args.threads, args.n,
-                            lambda st, m: sample_isotropic(st, radius, m))
-        extra = None
-    elif args.source == "cosine":
-        parts = _run_shards(seed, args.threads, args.n,
-                            lambda st, m: sample_cosine_surface(st, radius, m))
-        extra = None
-    else:
-        density = _make_density(args)
-
-        def draw(st, m):
-            pts, stats = sample_bundle(st, density, m, return_stats=True)
-            return project_to_line(pts), stats
-
-        both = _run_shards(seed, args.threads, args.n, draw)
-        parts = [lines for lines, _ in both]
-        acc = sum(s.accepted for _, s in both)
-        prop = sum(s.proposals for _, s in both)
-        extra = {
-            "parameters": _density_params(args),
-            "acceptance_rate": acc / prop if prop else 0.0,
-        }
-    lines = _concat_lines(parts)
-    _emit_lines(lines, _manifest(argv, seed, args.n, extra), args)
-    return 0
-
-
-def _cmd_bertrand(args, argv: list[str]) -> int:
-    seed = _seed_of(args)
+def _cmd_bertrand(args, argv: list[str]) -> dict:
     ind = np.concatenate(
-        _run_shards(seed, args.threads, args.n,
+        _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: bertrand_indicators(st, args.method, m))
     )
     est = estimate_from_samples(ind)
     oracle = bertrand_oracle(args.method)
-    passed = _within_3se(est, oracle)
-    report = _report(
-        argv, seed, args.n, "bertrand",
-        parameters={"method": args.method},
-        estimates={"probability": _est_dict(est)},
-        tests={"probability_z": _z_test(est, oracle)},
+    test, passed = _z_test(est, oracle)
+    return _report(
+        args, argv, "bertrand", {"method": args.method}, passed,
+        estimates={"probability": asdict(est)},
+        tests={"probability_z": test},
         oracle_values={"probability": oracle},
-        passed=passed,
     )
-    _print_report(report, args.out)
-    return 0 if passed else 1
 
 
-def _cmd_chord(args, argv: list[str]) -> int:
-    _require_samples(args)
-    seed = _seed_of(args)
+def _cmd_chord(args, argv: list[str]) -> dict:
     body = parse_body(args.body)
     ch = np.concatenate(
-        _run_shards(seed, args.threads, args.n,
+        _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: isotropic_chords(st, body, m, args.radius))
     )
     hit = ch > 0.0
     rate = estimate_from_samples(hit.astype(np.float64))
-    estimates = {"hit_rate": _est_dict(rate)}
+    estimates = {"hit_rate": asdict(rate)}
     oracles = {"hit_rate": hit_rate_oracle(body, args.radius)}
-    tests = {"hit_rate_z": _z_test(rate, oracles["hit_rate"])}
-    passed = _within_3se(rate, oracles["hit_rate"])
+    tests = {}
+    tests["hit_rate_z"], passed = _z_test(rate, oracles["hit_rate"])
     if np.any(hit):
         mean_ch = estimate_from_samples(ch[hit])
-        estimates["mean_chord_given_hit"] = _est_dict(mean_ch)
+        estimates["mean_chord_given_hit"] = asdict(mean_ch)
         oracles["mean_chord_given_hit"] = mean_chord_oracle(body)
-        tests["mean_chord_z"] = _z_test(mean_ch, oracles["mean_chord_given_hit"])
-        passed = passed and _within_3se(mean_ch, oracles["mean_chord_given_hit"])
+        tests["mean_chord_z"], ok = _z_test(
+            mean_ch, oracles["mean_chord_given_hit"])
+        passed = passed and ok
     else:
         passed = False
-    report = _report(
-        argv, seed, args.n, "chord",
-        parameters={"body": args.body, "radius": args.radius},
-        estimates=estimates,
-        tests=tests,
-        oracle_values=oracles,
-        passed=passed,
+    return _report(
+        args, argv, "chord", {"body": args.body, "radius": args.radius},
+        passed, estimates=estimates, tests=tests, oracle_values=oracles,
     )
-    _print_report(report, args.out)
-    return 0 if passed else 1
 
 
-def _cmd_haar_test(args, argv: list[str]) -> int:
-    _require_samples(args)
-    seed = _seed_of(args)
+def _cmd_haar_test(args, argv: list[str]) -> dict:
     q = np.concatenate(
-        _run_shards(seed, args.threads, args.n,
+        _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: sample_sphere3(st, m))
     )
     R = quat_to_rotation(q)
@@ -344,26 +296,20 @@ def _cmd_haar_test(args, argv: list[str]) -> int:
     angle_counts, angle_edges = np.histogram(angles, bins=40, range=(0.0, np.pi))
     z_counts, z_edges = np.histogram(np.clip(uz[:, 2], -1, 1),
                                      bins=args.bands, range=(-1.0, 1.0))
-    report = _report(
-        argv, seed, args.n, "haar-test",
-        parameters={"bands": args.bands},
+    return _report(
+        args, argv, "haar-test", {"bands": args.bands}, passed,
         tests={k: asdict(v) for k, v in tests.items()},
-        passed=passed,
-        extra={
-            "histograms": {
-                "rotation_angle": {
-                    "edges": [float(e) for e in angle_edges],
-                    "counts": [int(c) for c in angle_counts],
-                },
-                "axis_z": {
-                    "edges": [float(e) for e in z_edges],
-                    "counts": [int(c) for c in z_counts],
-                },
+        histograms={
+            "rotation_angle": {
+                "edges": [float(e) for e in angle_edges],
+                "counts": [int(c) for c in angle_counts],
+            },
+            "axis_z": {
+                "edges": [float(e) for e in z_edges],
+                "counts": [int(c) for c in z_counts],
             },
         },
     )
-    _print_report(report, args.out)
-    return 0 if passed else 1
 
 
 def _estimator_of(args):
@@ -376,39 +322,34 @@ def _estimator_of(args):
     return lambda lines: (lines.u @ axis) ** 2
 
 
-def _cmd_gauge_audit(args, argv: list[str]) -> int:
-    seed = _seed_of(args)
-    density = _make_density(args)
+def _cmd_gauge_audit(args, argv: list[str]) -> dict:
+    density, params = _density_of(args)
     est_fn = _estimator_of(args)
-    correct = gauge_audit(make_rng(seed), density, est_fn, args.n)
+    correct = gauge_audit(make_rng(args.seed), density, est_fn, args.n)
     broken = correct.broken
+    # feet are as large as the disk radius, so their rounding scales with it
     passed = (
         correct.max_direction_dev <= 1e-10
-        and correct.max_foot_dev <= 1e-10
+        and correct.max_foot_dev <= 1e-10 * max(1.0, args.radius)
         and correct.gap <= 1e-10
         and broken.gap_sigma > 3.0
     )
-    report = _report(
-        argv, seed, args.n, "gauge-audit",
-        parameters={**_density_params(args), "estimator": args.estimator},
+    return _report(
+        args, argv, "gauge-audit", {**params, "estimator": args.estimator},
+        passed,
         estimates={
-            "base": _est_dict(correct.base),
-            "acted": _est_dict(correct.acted),
-            "broken_acted": _est_dict(broken.acted),
+            "base": asdict(correct.base),
+            "acted": asdict(correct.acted),
+            "broken_acted": asdict(broken.acted),
         },
-        passed=passed,
-        extra={
-            "deviations": {
-                "max_direction": correct.max_direction_dev,
-                "max_foot": correct.max_foot_dev,
-                "estimate_gap": correct.gap,
-                "broken_max_foot": broken.max_foot_dev,
-                "broken_gap_sigma": broken.gap_sigma,
-            },
+        deviations={
+            "max_direction": correct.max_direction_dev,
+            "max_foot": correct.max_foot_dev,
+            "estimate_gap": correct.gap,
+            "broken_max_foot": broken.max_foot_dev,
+            "broken_gap_sigma": broken.gap_sigma,
         },
     )
-    _print_report(report, args.out)
-    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +367,7 @@ def _add_common(p: argparse.ArgumentParser, n_default: int,
 
 
 def _add_density_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--density", choices=_DENSITIES, default="uniform")
+    p.add_argument("--density", choices=tuple(_DENSITIES), default="uniform")
     p.add_argument("--kappa", type=float, default=1.0,
                    help="direction tilt strength")
     p.add_argument("--sigma", type=float, default=0.5,
@@ -490,12 +431,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DISPATCH = {
-    "sample": _cmd_sample,
+_EXPERIMENTS = {
     "bertrand": _cmd_bertrand,
     "chord": _cmd_chord,
     "haar-test": _cmd_haar_test,
-    "bundle": _cmd_sample,
     "gauge-audit": _cmd_gauge_audit,
 }
 
@@ -504,7 +443,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args, argv)
+        args.seed = _seed_of(args)
+        if args.cmd not in _EXPERIMENTS:  # sample, bundle
+            _cmd_sample(args, argv)
+            return 0
+        # experiments estimate from their samples, so --n 0 is a usage error
+        if args.n < 1:
+            raise ValueError("n must be positive")
+        report = _EXPERIMENTS[args.cmd](args, argv)
+        _write(json.dumps(report, indent=2) + "\n", args.out)
+        return 0 if report["pass"] else 1
     except InsufficientRadius as exc:
         print(f"InsufficientRadius: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ closed forms for balls and boxes, the vertices of the polytope for halfspaces.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -227,10 +228,9 @@ def bounding_radius(body: ConvexBody) -> float:
     Exact for every body: for Halfspaces, the largest vertex norm.
     """
     if isinstance(body, Ball):
-        return float(np.sqrt(np.sum(body.center**2)) + body.radius)
+        return math.hypot(*body.center) + body.radius
     if isinstance(body, Box):
-        corner = np.maximum(np.abs(body.lo), np.abs(body.hi))
-        return float(np.sqrt(np.sum(corner**2)))
+        return math.hypot(*np.maximum(np.abs(body.lo), np.abs(body.hi)))
     if isinstance(body, Halfspaces):
         return float(np.max(np.sqrt(np.sum(body.vertices**2, axis=1))))
     raise TypeError(f"not a convex body: {type(body).__name__}")

@@ -107,8 +107,12 @@ def estimate_from_samples(x: np.ndarray) -> Estimate:
     n = x.size
     if n == 0:
         raise TooFewSamples("no samples to estimate from")
-    mean = float(np.mean(x))
-    stderr = float(np.std(x, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    # scale by a power of two, which is exact, so that the squares in np.std
+    # neither overflow nor underflow
+    e = math.frexp(max(np.max(x), -np.min(x)))[1]
+    xs = np.ldexp(x, -e)
+    mean = float(np.ldexp(np.mean(xs), e))
+    stderr = float(np.ldexp(np.std(xs, ddof=1), e) / np.sqrt(n)) if n > 1 else 0.0
     return Estimate(mean, stderr, n)
 
 
@@ -335,6 +339,13 @@ def mean_chord_oracle(body: ConvexBody) -> float:
 
 
 def _require_radius(body: ConvexBody, radius: float) -> None:
+    # inside the sampling ball 4V <= 16/3 pi R^3, while S and the chord
+    # kernels' squared distances stay below 4 pi R^2: all are finite when
+    # 32 R^3 is
+    r = float(radius)
+    if math.isfinite(r) and not math.isfinite(32.0 * r * r * r):
+        raise ValueError(f"sampling radius {r:.6g} is too large: the body's "
+                         f"volume and surface area would overflow")
     rb = bounding_radius(body)
     # allow equality up to roundoff in the caller's radius arithmetic
     if radius < rb * (1.0 - 1e-12):

@@ -453,3 +453,45 @@ def test_huge_radius_warns_nothing(tmp_path):
                      "--out", str(tmp_path / "out")])
     assert code == 0
     assert [str(w.message) for w in caught] == []
+
+
+def test_huge_body_exits_2(capsys):
+    # volumes, areas or squared distances of these would overflow: each is
+    # refused before any draw, with one line and no numpy warning
+    for body, radius in (("ball:0,0,0,1e150", "1e151"),
+                         ("ball:0,0,0,1e307", "1e308"),
+                         ("box:0,0,0,1e110,1e110,1e110", "2e110"),
+                         ("ball:1e200,0,0,1", "2e200")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, ["chord", "--body", body, "--radius",
+                                           radius, "--n", "1000", "--seed", "1"])
+        assert (code, out, caught) == (2, "", []), (body, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    code, out, _ = _run(capsys, ["chord", "--body", "ball:0,0,0,1e100",
+                                 "--radius", "1.5e100", "--n", "1000",
+                                 "--seed", "1"])
+    assert code == 0 and "Infinity" not in out
+
+
+def test_gauge_audit_huge_radius_is_finite(capsys):
+    # the exit code is not checked: with the uniform density the broken
+    # move keeps the feet uniform, so at n = 100 the control is not caught
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, out, err = _run(capsys, ["gauge-audit", "--radius", "1e300",
+                                    "--n", "100"])
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert "Infinity" not in out and "NaN" not in out
+
+
+def test_gauge_audit_foot_bound_scales_with_radius(capsys):
+    # the same audit as at radius 1 with --beta 4, scaled by 1e8: the
+    # correct action's feet differ by rounding only, about 3e-16 R
+    code, out, _ = _run(capsys, ["gauge-audit", "--density", "foot-tilt",
+                                 "--radius", "1e8", "--beta", "4e-8",
+                                 "--n", "5000", "--seed", "7"])
+    dev = json.loads(out)["deviations"]
+    assert code == 0
+    assert 1e-10 < dev["max_foot"] <= 1e-10 * 1e8
+    assert dev["broken_gap_sigma"] > 3.0

@@ -1,0 +1,101 @@
+"""Power of the experiment gates: each known sampler defect must fail.
+
+A ``"pass": true`` means something only if the same check fails when the
+sampler is wrong.  Each row below injects one defect with ``unittest.mock``,
+runs a CLI experiment at its default ``--n`` and seed 1, and requires exit 1
+with the named test more than 3 sigma (or below the p-value floor) off.
+The patches target the names the CLI actually calls:
+``fiberline.bundle.sample_disk`` for the disk offsets of every isotropic
+line, ``fiberline.haar.sample_sphere3`` for the frames of ``sample_rotation``,
+and ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions.
+"""
+import json
+from contextlib import ExitStack
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import fiberline.bundle
+from fiberline.cli import main
+
+_real_disk = fiberline.bundle.sample_disk
+
+
+def _disk_linear_radius(rng, radius, n):
+    """r = R U instead of R sqrt(U): offsets crowd the disk's centre."""
+    u = rng.uniforms(2 * n)
+    r, phi = radius * u[0::2], 2.0 * np.pi * u[1::2]
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
+def _disk_short(rng, radius, n):
+    """A disk 1% smaller than the sampling sphere's cross-section."""
+    return _real_disk(rng, 0.99 * radius, n)
+
+
+def _cube_quaternions(rng, n):
+    """Normalized uniform points of [-1, 1)^4: not uniform on S^3."""
+    q = 2.0 * rng.uniforms(4 * n).reshape(n, 4) - 1.0
+    return q / np.sqrt(np.sum(q * q, axis=1))[:, None]
+
+
+DISK = "fiberline.bundle.sample_disk"
+QUATS = ("fiberline.haar.sample_sphere3", "fiberline.cli.sample_sphere3")
+
+# defect -> (the names it replaces, the replacement)
+DEFECTS = {
+    "disk-r-linear": ((DISK,), _disk_linear_radius),
+    "disk-1pct-short": ((DISK,), _disk_short),
+    "cube-quaternions": (QUATS, _cube_quaternions),
+}
+COMMANDS = {
+    "ball": ["chord", "--body", "ball:0,0,0,1", "--radius", "2"],
+    "box": ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8"],
+    "haar-test": ["haar-test"],
+}
+# (defect, command, the test that must catch it); at seed 1 the caught
+# statistics are z 500, 225, 11.8, 9.4, chi-square 11473 (p 0) and z 10.0
+POWER = [
+    ("disk-r-linear", "ball", "hit_rate_z"),
+    ("disk-r-linear", "box", "hit_rate_z"),
+    ("disk-1pct-short", "ball", "hit_rate_z"),
+    ("disk-1pct-short", "box", "hit_rate_z"),
+    ("cube-quaternions", "haar-test", "axis_isotropy_chi2"),
+    ("cube-quaternions", "box", "mean_chord_z"),
+]
+
+
+def _run(capsys, command, defect=None):
+    names, replacement = DEFECTS[defect] if defect else ((), None)
+    with ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch(name, replacement))
+        code = main([*COMMANDS[command], "--seed", "1"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_pass_without_defect(command, capsys):
+    code, rep = _run(capsys, command)
+    assert code == 0 and rep["pass"] is True
+
+
+@pytest.mark.parametrize("defect,command,key", POWER,
+                         ids=[f"{d}-{c}" for d, c, _ in POWER])
+def test_defect_fails_named_test(defect, command, key, capsys):
+    code, rep = _run(capsys, command, defect)
+    assert code == 1 and rep["pass"] is False
+    test = rep["tests"][key]
+    if key.endswith("_z"):
+        assert abs(test["statistic"]) > 3.0, test
+    else:
+        assert test["p_value"] <= 0.001, test
+
+
+def test_ball_is_blind_to_rotation_bias(capsys):
+    # an origin-centred ball looks the same from every frame, so biased
+    # frames cannot move its hit rate or chords: an expected pass, not a
+    # gate to tighten
+    code, rep = _run(capsys, "ball", "cube-quaternions")
+    assert code == 0 and rep["pass"] is True

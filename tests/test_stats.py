@@ -27,6 +27,7 @@ from fiberline.geometry import Ball, Box, chord
 from fiberline.randkit import make_rng
 from fiberline.stats import (
     BERTRAND_METHODS,
+    Estimate,
     bertrand_experiment,
     bertrand_indicators,
     bertrand_oracle,
@@ -66,6 +67,16 @@ def test_estimate_edge_cases():
     assert one.mean == 2.5 and one.stderr == 0.0 and one.n == 1
     with pytest.raises(TooFewSamples):
         estimate_from_samples([])
+
+
+@pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000],
+                         ids=["huge", "tiny"])
+def test_estimate_is_scale_safe(scale):
+    # a power-of-two scale is exact, so the estimate scales with the data
+    # instead of overflowing (or underflowing) in the squares
+    x = make_rng(3).uniforms(1000) - 0.5
+    est, scaled = estimate_from_samples(x), estimate_from_samples(x * scale)
+    assert scaled == Estimate(est.mean * scale, est.stderr * scale, est.n)
 
 
 def test_stderr_scales_as_inverse_sqrt_n():
