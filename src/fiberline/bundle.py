@@ -23,9 +23,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import haar
+from ._blocks import blocks
 from .errors import NonFinite
-from .haar import _batch, _cube_rejection, _rejection, sample_rotation, \
-    sample_sphere2, tangent_from_ball
+from .haar import _batch, _cube_rejection, _rejection, quat_to_rotation, \
+    sample_rotation, sample_sphere2, tangent_from_ball
 from .linespace import DirectedLine
 from .randkit import RngStream
 
@@ -178,11 +180,19 @@ def sample_isotropic(
     Draws a uniformly random frame and a uniform offset in the disk (frames
     first, then offsets, when batched).  Every line meeting the ball of that
     radius is reachable, with density constant in the invariant measure.
+    The frames are drawn as quaternions and turned into lines one block at a
+    time, so no (n, 3, 3) frame array is built.
     """
-    g = sample_rotation(rng, n)
-    r = sample_disk(rng, radius, n)
-    u, foot = _project_arrays(g, r)
-    return DirectedLine(u, foot)
+    m, single = _batch(n)
+    # looked up on haar at call time: replacing haar.sample_sphere3 replaces
+    # these frames too
+    q = haar.sample_sphere3(rng, m)
+    r = sample_disk(rng, radius, m)
+    u = np.empty((m, 3), dtype=np.float64)
+    foot = np.empty((m, 3), dtype=np.float64)
+    for s in blocks(m):
+        u[s], foot[s] = _project_arrays(quat_to_rotation(q[s]), r[s])
+    return DirectedLine(u[0], foot[0]) if single else DirectedLine(u, foot)
 
 
 def sample_bundle(

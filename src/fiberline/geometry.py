@@ -15,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from ._blocks import blocks
 from .errors import Unbounded
 from .linespace import DirectedLine
 
@@ -187,13 +188,16 @@ def chord(body: ConvexBody, dl: DirectedLine) -> np.ndarray:
     """
     u, f, single = _line_arrays(dl)
     if isinstance(body, Ball):
-        out = _chord_ball(body, u, f)
+        kernel = _chord_ball
     elif isinstance(body, Box):
-        out = _chord_box(body, u, f)
+        kernel = _chord_box
     elif isinstance(body, Halfspaces):
-        out = _chord_halfspaces(body, u, f)
+        kernel = _chord_halfspaces
     else:
         raise TypeError(f"not a convex body: {type(body).__name__}")
+    out = np.empty(len(u), dtype=np.float64)
+    for s in blocks(len(u)):
+        out[s] = kernel(body, u[s], f[s])
     return float(out[0]) if single else out
 
 

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._blocks import blocks
 from .errors import AntipodalViolation, BoundViolated, NonFinite, NotUnit, \
     PoleSingularity, RejectionStall
 from .randkit import RngStream
@@ -71,12 +72,28 @@ def _batch(n: int | None) -> tuple[int, bool]:
     return n, False
 
 
-def _redraw(m: int, dim: int, draw: Callable) -> np.ndarray:
-    """m rows in R^dim: ``draw(pending)`` makes one candidate for each pending
-    row index and returns the keep mask and the kept rows; rejected rows are
-    drawn again."""
+def _redraw(m: int, dim: int, draw: Callable,
+            sequential: bool = False) -> np.ndarray:
+    """m rows in R^dim: ``draw(rows)`` makes one candidate for each row index
+    in ``rows`` and returns the keep mask and the kept rows; rejected rows
+    are drawn again.
+
+    A ``sequential`` draw reads the stream in row order and depends on the
+    rows only through their count, so its first pass runs block by block on
+    the same stream words.  A draw that nests a redraw loop of its own is not
+    sequential: blocks would interleave that loop's redraws.
+    """
     out = np.empty((m, dim), dtype=np.float64)
-    pending = np.arange(m)
+    rejected = []
+    for s in (blocks(m) if sequential else (slice(0, m),)):
+        rows = np.arange(s.start, s.stop)
+        ok, kept = draw(rows)
+        if len(kept) == len(rows):
+            out[s] = kept
+        else:
+            out[rows[ok]] = kept
+            rejected.append(rows[~ok])
+    pending = np.concatenate(rejected) if rejected else np.arange(0)
     while pending.size:
         ok, kept = draw(pending)
         out[pending[ok]] = kept
@@ -95,8 +112,8 @@ def _normalized(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _unit_gaussians(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m unit vectors in R^dim from normalized gaussians, redrawing the
     (astronomically rare) rows whose norm underflows below _TINY_NORM."""
-    return _redraw(m, dim, lambda pending: _normalized(
-        rng.gaussians(dim * pending.size).reshape(-1, dim)))
+    return _redraw(m, dim, lambda rows: _normalized(
+        rng.gaussians(dim * rows.size).reshape(-1, dim)), sequential=True)
 
 
 def sample_sphere2(rng: RngStream, n: int | None = None) -> np.ndarray:
@@ -128,12 +145,12 @@ def sample_ball3(rng: RngStream, n: int | None = None) -> np.ndarray:
 def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m uniform points of the closed unit ball in R^dim: candidates uniform
     in [-1, 1)^dim, rows outside the ball redrawn."""
-    def draw(pending):
-        c = 2.0 * rng.uniforms(dim * pending.size).reshape(-1, dim) - 1.0
+    def draw(rows):
+        c = 2.0 * rng.uniforms(dim * rows.size).reshape(-1, dim) - 1.0
         ok = np.sum(c * c, axis=1) <= 1.0
         return ok, c[ok]
 
-    return _redraw(m, dim, draw)
+    return _redraw(m, dim, draw, sequential=True)
 
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
@@ -155,19 +172,35 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1] != 4:
         raise ValueError("quaternion must have 4 components")
-    q = _check_unit(q, "quaternion")
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    R = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
-    R[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    R[..., 0, 1] = 2.0 * (x * y - w * z)
-    R[..., 0, 2] = 2.0 * (x * z + w * y)
-    R[..., 1, 0] = 2.0 * (x * y + w * z)
-    R[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    R[..., 1, 2] = 2.0 * (y * z - w * x)
-    R[..., 2, 0] = 2.0 * (x * z - w * y)
-    R[..., 2, 1] = 2.0 * (y * z + w * x)
-    R[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return R
+    rows = q.reshape(-1, 4)
+    R = np.empty((len(rows), 3, 3), dtype=np.float64)
+    unit, devs = True, []  # devs: each block's worst norm error
+    for s in blocks(len(rows)):
+        qb = rows[s]
+        nrm = np.sqrt(np.sum(qb * qb, axis=1))
+        dev = np.abs(nrm - 1.0)
+        devs.append(np.max(dev))
+        unit = unit and bool(np.all(dev <= _UNIT_TOL))
+        if unit:  # past a bad block, only the worst error is still wanted
+            _fill_rotation(R[s], qb / nrm[:, None])
+    if not unit:
+        raise NotUnit(f"quaternion norm off by {float(np.max(devs)):.3e} "
+                      f"(tolerance {_UNIT_TOL})")
+    return R.reshape(q.shape[:-1] + (3, 3))
+
+
+def _fill_rotation(R: np.ndarray, q: np.ndarray) -> None:
+    """Write R(q) into the (m, 3, 3) array R for unit quaternion rows q."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    R[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    R[:, 0, 1] = 2.0 * (x * y - w * z)
+    R[:, 0, 2] = 2.0 * (x * z + w * y)
+    R[:, 1, 0] = 2.0 * (x * y + w * z)
+    R[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    R[:, 1, 2] = 2.0 * (y * z - w * x)
+    R[:, 2, 0] = 2.0 * (x * z - w * y)
+    R[:, 2, 1] = 2.0 * (y * z + w * x)
+    R[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
 
 
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import blocks
 from .errors import HorizontalLine, NotUnit
 
 __all__ = [
@@ -56,22 +57,7 @@ class DirectedLine:
         foot = np.asarray(self.foot, dtype=np.float64)
         if u.shape != foot.shape or u.shape[-1] != 3 or u.ndim not in (1, 2):
             raise ValueError("u and foot must both have shape (3,) or (n, 3)")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(foot))):
-            raise ValueError("line coordinates must be finite")
-        nrm = np.sqrt(np.sum(u * u, axis=-1))
-        if not np.all(np.abs(nrm - 1.0) <= _UNIT_TOL):
-            worst = float(np.max(np.abs(nrm - 1.0)))
-            raise NotUnit(f"direction norm off by {worst:.3e}")
-        dot = np.abs(np.sum(u * foot, axis=-1))
-        # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far
-        # feet; hypot rescales as it goes, so |foot| cannot overflow
-        nrm = np.hypot(np.hypot(foot[..., 0], foot[..., 1]), foot[..., 2])
-        bound = np.maximum(_FOOT_TOL, _FOOT_REL_TOL * nrm)
-        if not np.all(dot <= bound):
-            raise ValueError(
-                f"foot not orthogonal to direction (|u.foot| up to "
-                f"{float(np.max(dot)):.3e})"
-            )
+        _check_rows(np.atleast_2d(u), np.atleast_2d(foot))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "foot", foot)
 
@@ -81,6 +67,50 @@ class DirectedLine:
 
     def __len__(self) -> int:
         return self.u.shape[0] if self.is_batch else 1
+
+
+def _check_rows(u: np.ndarray, foot: np.ndarray) -> None:
+    """DirectedLine's checks on (n, 3) rows, one block at a time.
+
+    The finite check comes first and the unit check before orthogonality,
+    over all rows; each message carries the worst value over all rows.
+    """
+    unit, ortho = True, True
+    devs, dots = [], []  # each block's worst |u| - 1 and |u . foot|
+    for s in blocks(len(u)):
+        ub, fb = u[s], foot[s]
+        if not (np.all(np.isfinite(ub)) and np.all(np.isfinite(fb))):
+            raise ValueError("line coordinates must be finite")
+        dev = np.abs(np.sqrt(np.sum(ub * ub, axis=1)) - 1.0)
+        devs.append(np.max(dev))
+        unit = unit and bool(np.all(dev <= _UNIT_TOL))
+        if not unit:  # NotUnit will be raised; only the worst is still wanted
+            continue
+        dot = np.abs(np.sum(ub * fb, axis=1))
+        dots.append(np.max(dot))
+        # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far
+        # feet; hypot rescales as it goes, so |foot| cannot overflow
+        nrm = np.hypot(np.hypot(fb[:, 0], fb[:, 1]), fb[:, 2])
+        ortho = ortho and bool(np.all(dot <= np.maximum(
+            _FOOT_TOL, _FOOT_REL_TOL * nrm)))
+    if not unit:
+        raise NotUnit(f"direction norm off by {float(np.max(devs)):.3e}")
+    if not ortho:
+        raise ValueError(
+            f"foot not orthogonal to direction (|u.foot| up to "
+            f"{float(np.max(dots)):.3e})"
+        )
+
+
+def _concat_lines(parts: list[DirectedLine]) -> DirectedLine:
+    """The batches' lines in order.  Each part passed its checks when it was
+    built, so the joined rows are not checked again."""
+    if len(parts) == 1:
+        return parts[0]
+    joined = object.__new__(DirectedLine)
+    object.__setattr__(joined, "u", np.concatenate([p.u for p in parts]))
+    object.__setattr__(joined, "foot", np.concatenate([p.foot for p in parts]))
+    return joined
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blocks import blocks
 from .errors import FiberlineError
 
 __all__ = ["RngStream", "make_rng", "split", "uniform01", "gaussian"]
@@ -56,7 +57,9 @@ class RngStream:
     Scalar and block draws interleave freely: ``uniforms(n)`` is exactly the
     concatenation of ``n`` single draws, and ``gaussians(n)`` advances the
     counter exactly as ``n`` single gaussian draws would (the polar method's
-    leftover half-pair is cached either way).
+    leftover half-pair is cached either way).  Large draws fill their output
+    one cache-sized block at a time, which by the same token changes no value
+    and no counter.
     """
 
     __slots__ = ("seed", "stream_id", "_base", "_counter", "_spare")
@@ -86,8 +89,10 @@ class RngStream:
         n = int(n)
         if n < 0:
             raise FiberlineError("draw count must be nonnegative")
-        out = self._peek_uniforms(n)
-        self._counter += n
+        out = np.empty(n, dtype=np.float64)
+        for s in blocks(n):
+            out[s] = self._peek_uniforms(s.stop - s.start)
+            self._counter += s.stop - s.start
         return out
 
     def gaussians(self, n: int) -> np.ndarray:
@@ -103,6 +108,13 @@ class RngStream:
         if n < 0:
             raise FiberlineError("draw count must be nonnegative")
         out = np.empty(n, dtype=np.float64)
+        for s in blocks(n):
+            self._fill_gaussians(out[s])
+        return out
+
+    def _fill_gaussians(self, out: np.ndarray) -> None:
+        """Write the next ``out.size`` gaussians into ``out``."""
+        n = out.size
         k = 0
         if self._spare is not None and n > 0:
             out[0] = self._spare
@@ -133,7 +145,6 @@ class RngStream:
                 k += take
                 if take < pair.size:
                     self._spare = float(pair[take])
-        return out
 
 
 def make_rng(seed: int) -> RngStream:

@@ -339,11 +339,13 @@ def mean_chord_oracle(body: ConvexBody) -> float:
 
 
 def _require_radius(body: ConvexBody, radius: float) -> None:
+    r = float(radius)
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError("radius must be positive and finite")
     # inside the sampling ball 4V <= 16/3 pi R^3, while S and the chord
     # kernels' squared distances stay below 4 pi R^2: all are finite when
     # 32 R^3 is
-    r = float(radius)
-    if math.isfinite(r) and not math.isfinite(32.0 * r * r * r):
+    if not math.isfinite(32.0 * r * r * r):
         raise ValueError(f"sampling radius {r:.6g} is too large: the body's "
                          f"volume and surface area would overflow")
     rb = bounding_radius(body)
@@ -477,11 +479,12 @@ def gauge_audit(
     against the frame, so the projected lines — hence the estimates — must
     agree.  On the same draw, the negative control in ``.broken`` turns them
     by R(+h) instead; it shows up as a line-level deviation and, for
-    foot-sensitive estimators, a many-sigma estimate gap.
+    foot-sensitive estimators, a many-sigma estimate gap.  Raises
+    TooFewSamples for n < 2, which leaves the gaps without a standard error.
     """
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 2:
+        raise TooFewSamples(f"gauge audit needs at least 2 samples, got {n}")
     pts = sample_bundle(rng, density, n)
     h = 2.0 * np.pi * rng.uniforms(n)
     g2, ch, sh = _spin(h, pts.g)

@@ -1,4 +1,6 @@
 """The circle action on frames, its quotient to lines, and line densities."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,18 @@ def test_isotropic_lines_distribution():
     d2 = np.sum(lines.foot**2, axis=1)
     rep_d = ks_test(d2, lambda x: np.clip(x / 1.5**2, 0.0, 1.0))
     assert rep_d.p_value > 0.001
+
+
+def test_isotropic_lines_build_no_whole_batch_temporaries():
+    # the draw keeps the quaternions and offsets it turns into lines, block
+    # by block: about 2x the output; a (n, 3, 3) frame array alone is 1.5x
+    tracemalloc.start()
+    try:
+        lines = sample_isotropic(make_rng(7), 1.5, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (lines.u.nbytes + lines.foot.nbytes)
 
 
 def test_flat_bundle_density_matches_isotropic():

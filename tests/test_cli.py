@@ -171,6 +171,17 @@ def test_chord_insufficient_radius_exits_2(capsys):
     assert "InsufficientRadius" in err
 
 
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+def test_chord_invalid_radius_exits_2(radius, capsys):
+    # an invalid radius is refused as such, like `sample --radius 0`, not
+    # compared with the body's bounding radius
+    code, out, err = _run(capsys, ["chord", "--body", "ball:0,0,0,1",
+                                   "--radius", radius, "--n", "100",
+                                   "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: radius must be positive and finite\n"
+
+
 def test_chord_bad_body_exits_2(capsys):
     code, _, err = _run(capsys, ["chord", "--body", "ball:1,2", "--radius",
                                  "2", "--n", "10", "--seed", "1"])
@@ -310,6 +321,13 @@ def test_haar_test_too_few_samples_exits_2(n, capsys):
     code, out, err = _run(capsys, ["haar-test", "--n", n, "--seed", "1"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gauge_audit_one_sample_exits_2(capsys):
+    # one line gives no standard error, so the control's gap has no sigma
+    code, out, err = _run(capsys, ["gauge-audit", "--n", "1", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: gauge audit needs at least 2 samples, got 1\n"
 
 
 @pytest.mark.parametrize("argv", [

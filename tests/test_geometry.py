@@ -1,5 +1,6 @@
 """Chord lengths, body constants, and the body-description grammar."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ def test_chord_flip_symmetry():
     flipped = DirectedLine(-lines.u, lines.foot)
     for body in (UNIT_BALL, UNIT_CUBE):
         assert np.max(np.abs(chord(body, lines) - chord(body, flipped))) < 1e-12
+
+
+def test_chord_builds_no_whole_batch_temporaries():
+    # the box kernel's (n, 3) slab temporaries live one block at a time
+    lines = sample_isotropic(make_rng(2), 1.8, 200_000)
+    tracemalloc.start()
+    try:
+        out = chord(UNIT_CUBE, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2 * out.nbytes
 
 
 def test_chord_translation_consistency():

@@ -14,6 +14,7 @@ import platform
 
 import pytest
 
+import fiberline._blocks
 from fiberline.cli import main
 from fiberline.randkit import RngStream
 
@@ -117,6 +118,23 @@ def test_golden_bytes(name, argv, exit_code, sha, tmp_path, monkeypatch):
     # last-ulp differences in numpy's SIMD math are CPU dependent; name the
     # CPU so a mismatch on new hardware can be told from a regression
     assert got == sha, f"{name}: output bytes changed (cpu: {_cpu()})"
+
+
+# Row-wise stages run in blocks of fiberline._blocks._BLOCK rows; the golden
+# n barely cross one.  Block 1 puts a boundary between every two rows (run on
+# the line files, whose draws are short); block 37 is odd, so a gaussian pair
+# straddles a boundary again and again, and the SIMD kernels see short tails.
+BLOCK_CASES = [(g, 1) for g in GOLDEN if int(g[1][g[1].index("--n") + 1]) <= 200] \
+    + [(g, 37) for g in GOLDEN]
+
+
+@pytest.mark.parametrize("case,block", BLOCK_CASES,
+                         ids=[f"{g[0]}-block{b}" for g, b in BLOCK_CASES])
+def test_golden_bytes_do_not_depend_on_block(case, block, tmp_path,
+                                             monkeypatch):
+    name, argv, exit_code, sha = case
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    assert _digest(argv, tmp_path, monkeypatch) == (exit_code, sha), name
 
 
 def test_golden_rng_words():

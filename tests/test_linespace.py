@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberline._blocks
 from fiberline.bundle import sample_isotropic
 from fiberline.errors import HorizontalLine, NotUnit
 from fiberline.haar import sample_rotation
@@ -166,6 +167,47 @@ def test_validation_errors():
         SlopeLine(np.inf, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         SlopeLine(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2))
+
+
+# (rows to spoil: index -> (direction scale, foot shift along u, foot NaN)),
+# and the words the error must carry; 12 rows are three blocks of 4
+_BAD_ROWS = {
+    "unit-last": ({11: (1 + 1e-6, 0.0, False)}, "off by 1.000e-06"),
+    "unit-worst-first": ({1: (1 + 1e-5, 0.0, False), 11: (1 + 1e-7, 0.0, False)},
+                         "off by 1.000e-05"),
+    "unit-worst-last": ({1: (1 + 1e-7, 0.0, False), 11: (1 + 1e-5, 0.0, False)},
+                        "off by 1.000e-05"),
+    "ortho-last": ({11: (1.0, 1e-6, False)}, "up to 1.000e-06"),
+    "ortho-worst-first": ({1: (1.0, 1e-3, False), 11: (1.0, 1e-6, False)},
+                          "up to 1.000e-03"),
+    "unit-before-ortho": ({1: (1.0, 1e-3, False), 11: (1 + 1e-6, 0.0, False)},
+                          "off by 1.000e-06"),
+    "finite-before-unit": ({1: (1 + 1e-6, 0.0, False), 11: (1.0, 0.0, True)},
+                           "must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_ROWS)
+def test_blocked_check_reports_like_the_whole_batch(case, monkeypatch):
+    bad, words = _BAD_ROWS[case]
+    u = np.tile(EZ, (12, 1))
+    foot = np.tile([1.0, 0.0, 0.0], (12, 1))
+    for i, (scale, shift, nan) in bad.items():
+        u[i] *= scale
+        foot[i] += shift * EZ
+        if nan:
+            foot[i, 0] = np.nan
+
+    def error():
+        with pytest.raises((NotUnit, ValueError)) as exc:
+            DirectedLine(u, foot)
+        return type(exc.value), str(exc.value)
+
+    whole = error()
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", 4)
+    assert error() == whole
+    assert whole[0] is (NotUnit if "off by" in words else ValueError)
+    assert words in whole[1]
 
 
 def test_foot_tolerance_scales_with_foot():

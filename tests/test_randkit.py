@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import fiberline._blocks
 from fiberline import gaussian, make_rng, split, uniform01
 from fiberline.errors import FiberlineError
 from fiberline.randkit import RngStream
@@ -135,3 +136,23 @@ def test_no_global_state():
         mixed_b.append(uniform01(b))
     assert np.array_equal(mixed_a, make_rng(11).uniforms(20))
     assert np.array_equal(mixed_b, split(make_rng(11), 1).uniforms(20))
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_block_size_changes_no_value_and_no_counter(block, monkeypatch):
+    # large draws fill their output block by block; odd requests leave a
+    # polar spare behind that the next block (or the next draw) must use
+    draws = [("gaussians", 7), ("uniforms", 3), ("gaussians", 1),
+             ("gaussians", 40), ("uniforms", 33), ("gaussians", 0),
+             ("gaussians", 13)]
+
+    def run():
+        rng, trail = RngStream(11, 4), []
+        for method, n in draws:
+            trail.append((getattr(rng, method)(n).tobytes(), rng._counter,
+                          rng._spare))
+        return trail
+
+    whole = run()
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    assert run() == whole
