@@ -46,7 +46,7 @@ from .errors import FiberlineError, InsufficientRadius
 from .geometry import Ball, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
-from .linespace import _concat_lines, lines_to_csv, lines_to_json
+from .linespace import DirectedLine, lines_to_csv, lines_to_json
 from .randkit import make_rng, split
 from .stats import (
     Estimate,
@@ -115,6 +115,15 @@ def _run_shards(seed: int, threads: int, n: int, fn) -> list:
         return [fn(streams[0], sizes[0])]
     with ThreadPoolExecutor(max_workers=k) as ex:
         return list(ex.map(fn, streams, sizes))
+
+
+def _concat_lines(parts: list[DirectedLine]) -> DirectedLine:
+    if len(parts) == 1:
+        return parts[0]
+    return DirectedLine(
+        np.concatenate([p.u for p in parts]),
+        np.concatenate([p.foot for p in parts]),
+    )
 
 
 def _write(text: str, out: str | None) -> None:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._blocks import blocks
+from ._blocks import blocked_max, blocks
 from .errors import AntipodalViolation, BoundViolated, NonFinite, NotUnit, \
     PoleSingularity, RejectionStall
 from .randkit import RngStream
@@ -154,11 +154,19 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
 
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
-    nrm = np.sqrt(np.sum(v * v, axis=-1))
-    if not np.all(np.abs(nrm - 1.0) <= _UNIT_TOL):
-        worst = float(np.max(np.abs(nrm - 1.0)))
+    """v / |v| along the last axis.  Raises NotUnit with the worst norm error
+    over all rows when any norm is off by more than _UNIT_TOL."""
+    rows = v.reshape(-1, v.shape[-1])
+    nrm = np.empty(len(rows), dtype=np.float64)
+
+    def dev(s):
+        nrm[s] = np.sqrt(np.sum(rows[s] * rows[s], axis=1))
+        return np.abs(nrm[s] - 1.0)
+
+    worst = blocked_max(len(rows), dev)
+    if not worst <= _UNIT_TOL:
         raise NotUnit(f"{what} norm off by {worst:.3e} (tolerance {_UNIT_TOL})")
-    return v / nrm[..., None]
+    return v / nrm.reshape(v.shape[:-1] + (1,))
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -172,20 +180,10 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1] != 4:
         raise ValueError("quaternion must have 4 components")
-    rows = q.reshape(-1, 4)
+    rows = _check_unit(q.reshape(-1, 4), "quaternion")
     R = np.empty((len(rows), 3, 3), dtype=np.float64)
-    unit, devs = True, []  # devs: each block's worst norm error
     for s in blocks(len(rows)):
-        qb = rows[s]
-        nrm = np.sqrt(np.sum(qb * qb, axis=1))
-        dev = np.abs(nrm - 1.0)
-        devs.append(np.max(dev))
-        unit = unit and bool(np.all(dev <= _UNIT_TOL))
-        if unit:  # past a bad block, only the worst error is still wanted
-            _fill_rotation(R[s], qb / nrm[:, None])
-    if not unit:
-        raise NotUnit(f"quaternion norm off by {float(np.max(devs)):.3e} "
-                      f"(tolerance {_UNIT_TOL})")
+        _fill_rotation(R[s], rows[s])
     return R.reshape(q.shape[:-1] + (3, 3))
 
 

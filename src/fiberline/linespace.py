@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import blocks
+from ._blocks import blocked_max, blocks
 from .errors import HorizontalLine, NotUnit
 
 __all__ = [
@@ -70,47 +70,33 @@ class DirectedLine:
 
 
 def _check_rows(u: np.ndarray, foot: np.ndarray) -> None:
-    """DirectedLine's checks on (n, 3) rows, one block at a time.
+    """DirectedLine's checks on (n, 3) rows, one block at a time: finite,
+    then unit, then orthogonal, each over all rows; a message carries the
+    worst value over all rows."""
+    n = len(u)
+    if not all(np.all(np.isfinite(u[s])) and np.all(np.isfinite(foot[s]))
+               for s in blocks(n)):
+        raise ValueError("line coordinates must be finite")
+    worst = blocked_max(
+        n, lambda s: np.abs(np.sqrt(np.sum(u[s] * u[s], axis=1)) - 1.0))
+    if not worst <= _UNIT_TOL:
+        raise NotUnit(f"direction norm off by {worst:.3e}")
 
-    The finite check comes first and the unit check before orthogonality,
-    over all rows; each message carries the worst value over all rows.
-    """
-    unit, ortho = True, True
-    devs, dots = [], []  # each block's worst |u| - 1 and |u . foot|
-    for s in blocks(len(u)):
-        ub, fb = u[s], foot[s]
-        if not (np.all(np.isfinite(ub)) and np.all(np.isfinite(fb))):
-            raise ValueError("line coordinates must be finite")
-        dev = np.abs(np.sqrt(np.sum(ub * ub, axis=1)) - 1.0)
-        devs.append(np.max(dev))
-        unit = unit and bool(np.all(dev <= _UNIT_TOL))
-        if not unit:  # NotUnit will be raised; only the worst is still wanted
-            continue
-        dot = np.abs(np.sum(ub * fb, axis=1))
-        dots.append(np.max(dot))
+    def dot(s):
+        return np.abs(np.sum(u[s] * foot[s], axis=1))
+
+    def off(s):
         # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far
         # feet; hypot rescales as it goes, so |foot| cannot overflow
+        fb = foot[s]
         nrm = np.hypot(np.hypot(fb[:, 0], fb[:, 1]), fb[:, 2])
-        ortho = ortho and bool(np.all(dot <= np.maximum(
-            _FOOT_TOL, _FOOT_REL_TOL * nrm)))
-    if not unit:
-        raise NotUnit(f"direction norm off by {float(np.max(devs)):.3e}")
-    if not ortho:
+        return ~(dot(s) <= np.maximum(_FOOT_TOL, _FOOT_REL_TOL * nrm))
+
+    if blocked_max(n, off):
         raise ValueError(
             f"foot not orthogonal to direction (|u.foot| up to "
-            f"{float(np.max(dots)):.3e})"
+            f"{blocked_max(n, dot):.3e})"
         )
-
-
-def _concat_lines(parts: list[DirectedLine]) -> DirectedLine:
-    """The batches' lines in order.  Each part passed its checks when it was
-    built, so the joined rows are not checked again."""
-    if len(parts) == 1:
-        return parts[0]
-    joined = object.__new__(DirectedLine)
-    object.__setattr__(joined, "u", np.concatenate([p.u for p in parts]))
-    object.__setattr__(joined, "foot", np.concatenate([p.foot for p in parts]))
-    return joined
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberline._blocks
 from fiberline.errors import Unbounded
 from fiberline.geometry import (
     Ball,
@@ -159,6 +160,21 @@ def test_halfspaces_match_box():
         got = chord(hs, axial)
         assert np.array_equal(got, chord(UNIT_CUBE, axial))
         assert np.array_equal(got, [1.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def test_slanted_halfspace_chords_do_not_depend_on_block(monkeypatch):
+    # a tetrahedron's slanted normals make the kernel's products round; a
+    # one-row block would route them through another BLAS routine
+    s = 1.0 / np.sqrt(3.0)
+    tet = Halfspaces(s * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                   [-1, -1, 1]], dtype=np.float64),
+                     np.full(4, s))
+    lines = sample_isotropic(make_rng(6), 1.8, 200)
+    whole = chord(tet, lines)
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", 2)
+    for n in range(2, 201):
+        part = DirectedLine(lines.u[:n], lines.foot[:n])
+        assert np.array_equal(chord(tet, part), whole[:n]), n
 
 
 def test_halfspaces_constants_exact():

@@ -10,6 +10,7 @@ command line is the same in every temporary directory).  To print fresh
 digests after an intended output change, run this file as a script.
 """
 import hashlib
+import json
 import platform
 
 import pytest
@@ -21,6 +22,11 @@ from fiberline.randkit import RngStream
 # sha256 of the first 64 uniforms of RngStream(42, 7), as float64 bytes
 RNG_42_7_SHA = \
     "275757174066d9c05915633f61b6135fa0402c22bdcde33b7e2061bcce55dacc"
+
+# a regular tetrahedron: its unit normals are not axis-aligned, so the chord
+# kernel's products round, unlike a box's
+TETRAHEDRON = [{"normal": n, "offset": 1.0} for n in
+               ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
 
 # (name, argv, expected exit code, sha256 of the --out file)
 GOLDEN = [
@@ -64,6 +70,14 @@ GOLDEN = [
      ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
       "--n", "20000", "--seed", "1"], 0,
      "e5cb818307e2bda4905ac356428b69c1ac48aa7ae0b6c265484eef5e647fe365"),
+    ("chord-tetrahedron-t1",
+     ["chord", "--body", "halfspaces:@tetrahedron.json", "--radius", "1.8",
+      "--n", "20000", "--seed", "4"], 0,
+     "068e5d9e5dbcc17ed4a046135ed382dddd938998e55f9f5031955b1fe83912c9"),
+    ("chord-tetrahedron-t2",
+     ["chord", "--body", "halfspaces:@tetrahedron.json", "--radius", "1.8",
+      "--n", "20000", "--seed", "4", "--threads", "2"], 0,
+     "78e6fa723dd8c41bbb313caf98764c47e17a2b39eef0052713b17f266a843648"),
     ("bertrand-midpoint",
      ["bertrand", "--method", "midpoint", "--n", "20000", "--seed", "3"], 0,
      "162ca529db6798718d9b52b5f87393f58d1013690caaa3033243d6b7225e545c"),
@@ -104,6 +118,7 @@ def _cpu() -> str:
 
 def _digest(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "tetrahedron.json").write_text(json.dumps(TETRAHEDRON))
     monkeypatch.delenv("FIBERLINE_SEED", raising=False)
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     code = main([*argv, "--out", "out"])
@@ -123,7 +138,8 @@ def test_golden_bytes(name, argv, exit_code, sha, tmp_path, monkeypatch):
 # Row-wise stages run in blocks of fiberline._blocks._BLOCK rows; the golden
 # n barely cross one.  Block 1 puts a boundary between every two rows (run on
 # the line files, whose draws are short); block 37 is odd, so a gaussian pair
-# straddles a boundary again and again, and the SIMD kernels see short tails.
+# straddles a boundary again and again, and the kernels, the tetrahedron's
+# matrix products among them, see blocks of 37 to 73 rows.
 BLOCK_CASES = [(g, 1) for g in GOLDEN if int(g[1][g[1].index("--n") + 1]) <= 200] \
     + [(g, 37) for g in GOLDEN]
 
