@@ -153,20 +153,19 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     return _redraw(m, dim, draw, sequential=True)
 
 
-def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
-    """v / |v| along the last axis.  Raises NotUnit with the worst norm error
-    over all rows when any norm is off by more than _UNIT_TOL."""
-    rows = v.reshape(-1, v.shape[-1])
-    nrm = np.empty(len(rows), dtype=np.float64)
+def _unit_norms(v: np.ndarray, what: str) -> np.ndarray:
+    """The norm of each row of v, an (m, k) array.  Raises NotUnit with the
+    worst norm error over all rows when any is off by more than _UNIT_TOL."""
+    nrm = np.empty(len(v), dtype=np.float64)
 
     def dev(s):
-        nrm[s] = np.sqrt(np.sum(rows[s] * rows[s], axis=1))
+        nrm[s] = np.sqrt(np.sum(v[s] * v[s], axis=1))
         return np.abs(nrm[s] - 1.0)
 
-    worst = blocked_max(len(rows), dev)
+    worst = blocked_max(len(v), dev)
     if not worst <= _UNIT_TOL:
         raise NotUnit(f"{what} norm off by {worst:.3e} (tolerance {_UNIT_TOL})")
-    return v / nrm.reshape(v.shape[:-1] + (1,))
+    return nrm
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -180,10 +179,11 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1] != 4:
         raise ValueError("quaternion must have 4 components")
-    rows = _check_unit(q.reshape(-1, 4), "quaternion")
+    rows = q.reshape(-1, 4)
+    nrm = _unit_norms(rows, "quaternion")
     R = np.empty((len(rows), 3, 3), dtype=np.float64)
     for s in blocks(len(rows)):
-        _fill_rotation(R[s], rows[s])
+        _fill_rotation(R[s], rows[s] / nrm[s, None])
     return R.reshape(q.shape[:-1] + (3, 3))
 
 
@@ -398,7 +398,7 @@ def tangent_from_ball(
             raise ValueError("n must be None when u is already a batch")
         us = u
         m, single = u.shape[0], False
-    us = _check_unit(us, "direction")
+    us = us / _unit_norms(us, "direction")[:, None]
 
     def draw(pending):
         b = sample_ball3(rng, pending.size)
