@@ -28,7 +28,7 @@ from ._blocks import blocks
 from .errors import NonFinite
 from .haar import _batch, _cube_rejection, _rejection, quat_to_rotation, \
     sample_rotation, sample_sphere2, tangent_from_ball
-from .linespace import DirectedLine
+from .linespace import DirectedLine, _unit_and_length
 from .randkit import RngStream
 
 __all__ = [
@@ -200,30 +200,26 @@ def sample_bundle(
     density: LineDensity,
     n: int | None = None,
     *,
-    return_stats: bool = False,
     stall_proposals: int = 1_000_000,
-):
+) -> BundlePoint:
     """Bundle point(s) distributed as density.f times the product of the
     rotation-invariant measure on frames and the uniform disk on offsets.
 
     Plain rejection: propose (frame, disk offset), keep with probability
-    f/bound.  Raises BoundViolated if f exceeds the bound beyond roundoff,
-    NonFinite on NaN/inf densities, RejectionStall when fewer than a 1e-6
-    fraction of at least ``stall_proposals`` candidates were kept.  With
-    ``return_stats=True`` also returns :class:`AcceptanceStats`.
+    f/bound; the proposals and acceptances are added to ``rng.proposals``
+    and ``rng.accepted``.  Raises BoundViolated if f exceeds the bound beyond
+    roundoff, NonFinite on NaN/inf densities, RejectionStall when fewer than
+    a 1e-6 fraction of at least ``stall_proposals`` candidates were kept.
     """
     m, single = _batch(n)
     g_out = np.empty((m, 3, 3), dtype=np.float64)
     r_out = np.empty((m, 2), dtype=np.float64)
-    stats = _rejection(
+    _rejection(
         rng,
         lambda k: (sample_rotation(rng, k), sample_disk(rng, density.disk_radius, k)),
         density.f, density.bound, (g_out, r_out), stall_proposals,
     )
-    pt = BundlePoint(g_out[0], r_out[0]) if single else BundlePoint(g_out, r_out)
-    if return_stats:
-        return pt, stats
-    return pt
+    return BundlePoint(g_out[0], r_out[0]) if single else BundlePoint(g_out, r_out)
 
 
 def sample_cosine_surface(
@@ -278,15 +274,6 @@ def symmetrize_density(
     return f
 
 
-def _unit_axis(axis) -> np.ndarray:
-    a = np.asarray(axis, dtype=np.float64).reshape(3)
-    big = float(np.max(np.abs(a)))
-    if not np.isfinite(big) or big <= 0.0:
-        raise ValueError("axis must be a finite nonzero vector")
-    a = a / big  # so the squares neither overflow nor underflow
-    return a / float(np.sqrt(np.sum(a * a)))
-
-
 def uniform_density(disk_radius: float = 1.0) -> LineDensity:
     """f == 1: plain isotropic lines, for pipeline checks."""
 
@@ -306,7 +293,7 @@ def tilt_density(kappa: float, axis=(0.0, 0.0, 1.0),
     kappa = float(kappa)
     if not np.isfinite(kappa):
         raise ValueError("kappa must be finite")
-    a = _unit_axis(axis)
+    a, _ = _unit_and_length(axis, "axis")
     bound = 1.0 if kappa >= 0.0 else float(np.exp(-2.0 * kappa))
 
     def f(g, r):
@@ -354,7 +341,7 @@ def foot_tilt_density(beta: float, axis=(0.0, 0.0, 1.0),
     beta = float(beta)
     if not (np.isfinite(beta) and beta >= 0.0):
         raise ValueError("beta must be nonnegative")
-    a = _unit_axis(axis)
+    a, _ = _unit_and_length(axis, "axis")
 
     def f(g, r):
         _, foot = _project_arrays(g, r)

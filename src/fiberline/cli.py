@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .bundle import (
     LineDensity,
-    _unit_axis,
     foot_tilt_density,
     project_to_line,
     radial_density,
@@ -42,11 +41,12 @@ from .bundle import (
     tilt_radial_density,
     uniform_density,
 )
-from .errors import FiberlineError, InsufficientRadius
+from .errors import FiberlineError, InsufficientRadius, TooFewSamples
 from .geometry import Ball, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
-from .linespace import DirectedLine, lines_to_csv, lines_to_json
+from .linespace import DirectedLine, _unit_and_length, lines_to_csv, \
+    lines_to_json
 from .randkit import make_rng, split
 from .stats import (
     Estimate,
@@ -139,8 +139,10 @@ def _z_test(est: Estimate, oracle: float) -> tuple[dict, bool]:
     3-sigma verdict |mean - oracle| <= 3 stderr.
 
     A zero-stderr mismatch has no finite score; report null to keep the
-    output strict JSON.
+    output strict JSON.  Fewer than two samples have no stderr at all.
     """
+    if est.n < 2:
+        raise TooFewSamples(f"a z-test needs at least 2 samples, got {est.n}")
     if est.stderr > 0.0:
         z = (est.mean - oracle) / est.stderr
         p = math.erfc(abs(z) / math.sqrt(2.0))
@@ -206,17 +208,14 @@ def _density_of(args) -> tuple[LineDensity, dict]:
 # subcommands: sample and bundle write lines; the experiments return a report
 
 def _cmd_sample(args, argv: list[str]) -> None:
-    if args.source == "bundle":
+    if args.cmd == "bundle":
         density, params = _density_of(args)
-
-        def draw(st, m):
-            pts, stats = sample_bundle(st, density, m, return_stats=True)
-            return project_to_line(pts), stats
-
-        both = _run_shards(args.seed, args.threads, args.n, draw)
-        parts = [lines for lines, _ in both]
-        acc = sum(s.accepted for _, s in both)
-        prop = sum(s.proposals for _, s in both)
+        # each shard stream is new, so its counters hold that shard's draw
+        both = _run_shards(args.seed, args.threads, args.n, lambda st, m: (
+            project_to_line(sample_bundle(st, density, m)), st))
+        parts, streams = zip(*both)
+        acc = sum(st.accepted for st in streams)
+        prop = sum(st.proposals for st in streams)
         extra = {
             "parameters": params,
             "acceptance_rate": acc / prop if prop else 0.0,
@@ -313,7 +312,7 @@ def _cmd_haar_test(args, argv: list[str]) -> dict:
 
 
 def _estimator_of(args):
-    axis = _unit_axis(_axis_of(args))
+    axis, _ = _unit_and_length(_axis_of(args), "axis")
     if args.estimator == "foot-axis":
         return lambda lines: lines.foot @ axis
     if args.estimator == "chord-ball":
@@ -391,9 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0,
                    help="sampling sphere / foot disk radius")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--source", choices=("isotropic", "cosine", "bundle"),
+    p.add_argument("--source", choices=("isotropic", "cosine"),
                    default="isotropic")
-    _add_density_flags(p)
 
     p = sub.add_parser("bertrand", help="chord-paradox experiment")
     _add_common(p, 1_000_000)
@@ -417,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0,
                    help="foot disk radius")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(source="bundle")
     _add_density_flags(p)
 
     p = sub.add_parser("gauge-audit",

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._blocks import blocks
 from .errors import Unbounded
-from .linespace import DirectedLine
+from .linespace import DirectedLine, _unit_and_length
 
 __all__ = [
     "Ball",
@@ -286,10 +286,10 @@ def parse_body(text: str) -> ConvexBody:
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"halfspace {i} needs 'normal' [x,y,z] and "
                                  f"'offset'") from None
-            ln = float(np.sqrt(np.sum(nv * nv)))
-            if not np.isfinite(ln) or ln <= 0.0:
-                raise ValueError(f"halfspace {i} has a zero/invalid normal")
-            normals.append(nv / ln)
+            unit, ln = _unit_and_length(nv, f"halfspace {i}'s normal")
+            if not np.isfinite(ln):
+                raise ValueError(f"halfspace {i}'s normal is too long")
+            normals.append(unit)
             offsets.append(ov / ln)
         return Halfspaces(np.array(normals), np.array(offsets))
     raise ValueError(f"unknown body kind {kind!r}")

@@ -272,7 +272,6 @@ def sample_s3_density(
     n: int | None = None,
     *,
     projective: bool = False,
-    return_stats: bool = False,
     stall_proposals: int = 1_000_000,
 ):
     """Quaternions distributed as f(q) times the uniform S^3 measure.
@@ -283,7 +282,8 @@ def sample_s3_density(
         Vectorized density factor: maps (m, 4) quaternions to (m,) values in
         [0, bound].  Need not be normalized.
     bound : float
-        Rejection bound M; proposals are kept with probability f(q)/M.
+        Rejection bound M; proposals are kept with probability f(q)/M, and
+        counted on ``rng.proposals`` and ``rng.accepted``.
     projective : bool
         Declare f antipodally symmetric.  The first 1000 samples are audited
         (|f(q) - f(-q)| <= 1e-12) and AntipodalViolation raised otherwise.
@@ -298,8 +298,8 @@ def sample_s3_density(
         raise ValueError("bound must be positive and finite")
     m, single = _batch(n)
     out = np.empty((m, 4), dtype=np.float64)
-    stats = _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
-                       (out,), stall_proposals)
+    _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
+               (out,), stall_proposals)
     if projective and m > 0:
         q = out[:1000]
         diff = np.abs(np.asarray(f(q), float) - np.asarray(f(-q), float))
@@ -307,10 +307,7 @@ def sample_s3_density(
             raise AntipodalViolation(
                 f"f(q) and f(-q) differ by up to {float(diff.max()):.3e}"
             )
-    res = out[0] if single else out
-    if return_stats:
-        return res, stats
-    return res
+    return out[0] if single else out
 
 
 def _rejection(
@@ -320,19 +317,19 @@ def _rejection(
     bound: float,
     outs: tuple[np.ndarray, ...],
     stall_proposals: int,
-) -> AcceptanceStats:
+) -> None:
     """Fill ``outs``, arrays sharing a leading axis of length m, by rejection.
 
     ``propose(k)`` returns one k-row array per output; ``f`` maps them to k
     density values in [0, bound], and a proposal is kept when a uniform times
-    ``bound`` falls below its value.  Raises ValueError on a misshapen
-    density, NonFinite, BoundViolated and RejectionStall as documented on
-    :func:`sample_s3_density`.
+    ``bound`` falls below its value.  Each round adds its proposals and
+    acceptances to ``rng.proposals`` and ``rng.accepted``.  Raises ValueError
+    on a misshapen density, NonFinite, BoundViolated and RejectionStall as
+    documented on :func:`sample_s3_density`.
     """
     m = outs[0].shape[0]
     got = 0
-    accepted = 0
-    proposals = 0
+    accepted0, proposals0 = rng.accepted, rng.proposals
     rate_guess = 1.0
     while got < m:
         want = m - got
@@ -349,8 +346,9 @@ def _rejection(
                 f"outside [0, {bound:.6g}]"
             )
         keep = rng.uniforms(k) * bound < val
-        proposals += k
-        accepted += int(np.count_nonzero(keep))
+        rng.proposals += k
+        rng.accepted += int(np.count_nonzero(keep))
+        accepted, proposals = rng.accepted - accepted0, rng.proposals - proposals0
         idx = np.flatnonzero(keep)[:want]
         for out, p in zip(outs, props):
             out[got:got + idx.size] = p[idx]
@@ -358,7 +356,6 @@ def _rejection(
         rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
         if proposals >= stall_proposals and accepted < _STALL_ACCEPTANCE * proposals:
             raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
-    return AcceptanceStats(accepted, proposals)
 
 
 def naive_frame(u: np.ndarray) -> np.ndarray:

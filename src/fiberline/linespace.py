@@ -126,6 +126,19 @@ class SlopeLine:
             object.__setattr__(self, name, v)
 
 
+def _unit_and_length(v, what: str) -> tuple[np.ndarray, float]:
+    """The finite nonzero 3-vector v at unit length, and its length (inf
+    past the largest double).  The largest component is divided out first,
+    so the squares neither overflow nor underflow."""
+    v = np.asarray(v, dtype=np.float64).reshape(3)
+    big = float(np.max(np.abs(v)))
+    if not np.isfinite(big) or big <= 0.0:
+        raise ValueError(f"{what} must be a finite nonzero vector")
+    v = v / big
+    nrm = float(np.sqrt(np.sum(v * v)))
+    return v / nrm, big * nrm
+
+
 def slope_to_directed(sl: SlopeLine) -> DirectedLine:
     """Chart coordinates -> (u, foot).
 

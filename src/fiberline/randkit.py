@@ -62,7 +62,8 @@ class RngStream:
     and no counter.
     """
 
-    __slots__ = ("seed", "stream_id", "_base", "_counter", "_spare")
+    __slots__ = ("seed", "stream_id", "_base", "_counter", "_spare",
+                 "proposals", "accepted")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
@@ -70,6 +71,8 @@ class RngStream:
         self._base = _stream_base(self.seed, self.stream_id)
         self._counter = 0  # number of raw 64-bit words consumed so far
         self._spare: float | None = None
+        self.proposals = 0  # rejection-sampler proposals drawn on this stream
+        self.accepted = 0  # and how many of them were kept
 
     def __repr__(self) -> str:  # counter shown for debuggability, not identity
         return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "

@@ -25,6 +25,7 @@ from fiberline.cli import main
 from fiberline.errors import PoleSingularity
 from fiberline.geometry import Ball, Box, chord
 from fiberline.haar import (
+    AcceptanceStats,
     angle_between,
     hopf_map,
     naive_frame,
@@ -225,8 +226,9 @@ def test_criterion_10_reproducibility(capsys):
     same_json = out1 == out2 and json.loads(out1)["pass"] is True
 
     # tilt kappa=2 acceptance over ~1e6 proposals: (1 - e^-4)/4
-    _, st = sample_bundle(make_rng(1000), tilt_density(2.0), 240_000,
-                          return_stats=True)
+    rng = make_rng(1000)
+    sample_bundle(rng, tilt_density(2.0), 240_000)
+    st = AcceptanceStats(rng.accepted, rng.proposals)
     target = (1.0 - math.exp(-4.0)) / 4.0
     ok_rate = st.proposals > 900_000 and abs(st.rate - target) < 0.01 * target
     ok = same_csv and same_json and ok_rate

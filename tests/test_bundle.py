@@ -24,7 +24,7 @@ from fiberline.bundle import (
 )
 from fiberline.errors import BoundViolated, NonFinite, RejectionStall
 from fiberline.geometry import Ball, chord
-from fiberline.haar import sample_rotation, sample_s3_density
+from fiberline.haar import AcceptanceStats, sample_rotation, sample_s3_density
 from fiberline.linespace import DirectedLine
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
@@ -165,7 +165,9 @@ def test_flat_bundle_density_matches_isotropic():
 def test_tilt_acceptance_rate():
     """exp(kappa (u.a - 1)) at kappa = 2: mean acceptance (1 - e^-4)/4."""
     want = 240_000  # roughly one million proposals at the predicted rate
-    _, st = sample_bundle(make_rng(10), tilt_density(2.0), want, return_stats=True)
+    rng = make_rng(10)
+    sample_bundle(rng, tilt_density(2.0), want)
+    st = AcceptanceStats(rng.accepted, rng.proposals)
     target = (1.0 - np.exp(-4.0)) / 4.0
     assert st.proposals > 900_000
     assert abs(st.rate - target) < 0.01 * target

@@ -89,8 +89,7 @@ def test_bundle_source_manifest(capsys):
     assert len(doc["lines"]) == 50
 
 
-@pytest.mark.parametrize("cmd", [["bundle"], ["sample", "--source", "bundle"]],
-                         ids=["bundle", "sample-source-bundle"])
+@pytest.mark.parametrize("cmd", [["bundle"]], ids=["bundle"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_bundle_source_empty(cmd, fmt, capsys):
     code, out, err = _run(capsys, [*cmd, "--n", "0", "--seed", "4",
@@ -235,6 +234,22 @@ def test_chord_cube_halfspaces_runs_at_box_radius(tmp_path, capsys):
     assert set(rep["tests"]) == {"hit_rate_z", "mean_chord_z"}
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_chord_halfspace_normal_length_is_scaled_out(scale, tmp_path, capsys):
+    # a normal is a direction: its length must neither overflow nor vanish,
+    # and its offset is scaled by the same factor
+    def report(first):
+        body = _halfspace_body(tmp_path, [first, *_AXES[1:]],
+                               [first[0], 0, 1, 0, 1, 0])
+        code, out, err = _run(capsys, ["chord", "--body", body, "--radius",
+                                       "1.8", "--n", "20000", "--seed", "2"])
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        return rep["estimates"], rep["tests"], rep["oracle_values"]
+
+    assert report([scale, 0.0, 0.0]) == report([1.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("normals,offsets", [
     (_AXES[:1], [1]),                     # slab
     (_AXES[:4], [1, 1, 1, 1]),            # infinite square prism
@@ -323,6 +338,19 @@ def test_haar_test_too_few_samples_exits_2(n, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["chord", "--body", "ball:0,0,0,1", "--radius", "2", "--n", "1"],
+    ["bertrand", "--method", "radial", "--n", "1"],
+    # exactly one of the 100 lines hits, so its chord has no stderr
+    ["chord", "--body", "ball:0,0,0,0.1", "--radius", "1", "--n", "100"],
+], ids=["chord", "bertrand", "chord-one-hit"])
+def test_z_test_of_one_sample_exits_2(argv, capsys):
+    # one sample has no stderr, so its z-test could only fail
+    code, out, err = _run(capsys, [*argv, "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: a z-test needs at least 2 samples, got 1\n"
+
+
 def test_gauge_audit_one_sample_exits_2(capsys):
     # one line gives no standard error, so the control's gap has no sigma
     code, out, err = _run(capsys, ["gauge-audit", "--n", "1", "--seed", "1"])
@@ -405,6 +433,18 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--density", "tilt", "--kappa", "5"],
+    ["--source", "bundle"],
+], ids=["density-flags", "source-bundle"])
+def test_sample_takes_no_density(argv, capsys):
+    # density-weighted lines come from the bundle command alone
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--n", "2", "--seed", "1", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_flag_exits_2():

@@ -63,6 +63,11 @@ GOLDEN = [
      ["bundle", "--density", "tilt", "--kappa", "2", "--format", "json",
       "--n", "200", "--seed", "3"], 0,
      "6263dbe52d08ab0ffdfe37b93c4955690f52fee3433dc29a3bfcf4f09db07481"),
+    # two shards: the manifest's acceptance rate sums both streams' counts
+    ("bundle-tilt-json-t2",
+     ["bundle", "--density", "tilt", "--kappa", "2", "--format", "json",
+      "--n", "200", "--seed", "3", "--threads", "2"], 0,
+     "10edb9085b0ad64d996ac8231336d173c3bb9cc21152ba4a4a3ee17286a7ecb4"),
     ("haar-test",
      ["haar-test", "--n", "5000", "--seed", "5"], 0,
      "8314f655a3852c7e4185ee26fda9d1c5c7e2ff0c90efa84b08675b07f2057e82"),

@@ -28,7 +28,7 @@ from fiberline.haar import (
     sample_sphere3,
     tangent_from_ball,
 )
-from fiberline.randkit import make_rng
+from fiberline.randkit import make_rng, split
 from fiberline.stats import chi2_isotropy, ks_test, ks_two_sample
 
 N_BIG = 1_000_000
@@ -203,21 +203,40 @@ def test_hopf_pushforward_uniform():
 # density-weighted S^3 sampling
 
 def test_s3_density_flat_accepts_everything():
-    q, st = sample_s3_density(
-        make_rng(18), lambda q: np.ones(q.shape[0]), 1.0, 10_000,
-        return_stats=True,
-    )
+    rng = make_rng(18)
+    q = sample_s3_density(rng, lambda q: np.ones(q.shape[0]), 1.0, 10_000)
+    st = AcceptanceStats(rng.accepted, rng.proposals)
     assert st.rate == 1.0
     assert q.shape == (10_000, 4)
 
 
 def test_s3_density_acceptance_rate():
     """f = 1 + w^2 with bound 2: mean acceptance (1 + 1/4)/2 = 0.625."""
-    _, st = sample_s3_density(
-        make_rng(19), lambda q: 1.0 + q[:, 0] ** 2, 2.0, 600_000,
-        projective=True, return_stats=True,
-    )
+    rng = make_rng(19)
+    sample_s3_density(rng, lambda q: 1.0 + q[:, 0] ** 2, 2.0, 600_000,
+                      projective=True)
+    st = AcceptanceStats(rng.accepted, rng.proposals)
     assert abs(st.rate - 0.625) < 0.01 * 0.625
+
+
+def test_rejection_counts_are_totals_per_stream():
+    def draw(rng):
+        sample_s3_density(rng, lambda q: 1.0 + q[:, 0] ** 2, 2.0, 500)
+
+    rng = make_rng(21)
+    draw(rng)
+    first = (rng.accepted, rng.proposals)
+    assert 500 <= first[0] < first[1]
+    # the same second draw on a stream with fresh counts, from the same words
+    alone = split(rng, 0)
+    alone._counter, alone._spare = rng._counter, rng._spare
+    draw(rng)
+    draw(alone)
+    assert alone.proposals > 0
+    assert (rng.accepted, rng.proposals) == (first[0] + alone.accepted,
+                                             first[1] + alone.proposals)
+    child = split(rng, 1)
+    assert (child.accepted, child.proposals) == (0, 0)
 
 
 def test_s3_density_reweights_w():
