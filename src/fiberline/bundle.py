@@ -294,7 +294,11 @@ def tilt_density(kappa: float, axis=(0.0, 0.0, 1.0),
     if not np.isfinite(kappa):
         raise ValueError("kappa must be finite")
     a, _ = _unit_and_length(axis, "axis")
-    bound = 1.0 if kappa >= 0.0 else float(np.exp(-2.0 * kappa))
+    with np.errstate(over="ignore"):
+        bound = 1.0 if kappa >= 0.0 else float(np.exp(-2.0 * kappa))
+    if not np.isfinite(bound):
+        raise ValueError("kappa is too negative: the bound exp(-2 kappa) "
+                         "overflows below kappa = -354.891")
 
     def f(g, r):
         u = g[..., :, 2]

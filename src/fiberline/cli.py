@@ -12,7 +12,8 @@ sampler error (error name on standard error).
 
 ``--threads k`` (every subcommand but gauge-audit) shards n across k sibling
 random streams (ids 1..k) joined in stream order, so output depends on the
-flag value but not on scheduling.
+flag value but not on scheduling; at most ``os.cpu_count()`` worker threads
+run the shards.
 """
 from __future__ import annotations
 
@@ -113,7 +114,8 @@ def _run_shards(seed: int, threads: int, n: int, fn) -> list:
     streams = [split(make_rng(seed), i + 1) for i in range(k)]
     if k == 1:
         return [fn(streams[0], sizes[0])]
-    with ThreadPoolExecutor(max_workers=k) as ex:
+    # results keep stream order however many workers run the shards
+    with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as ex:
         return list(ex.map(fn, streams, sizes))
 
 

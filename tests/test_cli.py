@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output schema, exit codes, reproducibility."""
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fiberline.cli
 from fiberline.cli import main
 from fiberline.geometry import Ball, chord
 from fiberline.linespace import DirectedLine
@@ -111,6 +113,24 @@ def test_threads_deterministic(capsys):
     _, out1, _ = _run(capsys, args)
     _, out2, _ = _run(capsys, args)
     assert out1 == out2
+
+
+def test_threads_pool_bounded_by_cpu_count(capsys, monkeypatch):
+    # 64 shards, but no more worker threads than the machine has CPUs
+    args = ["sample", "--n", "64", "--seed", "5", "--threads", "64"]
+    asked = []
+    real_pool = fiberline.cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        asked.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fiberline.cli, "ThreadPoolExecutor", recording_pool)
+        _, recorded, _ = _run(capsys, args)
+    _, plain, _ = _run(capsys, args)
+    assert asked and all(1 <= k <= (os.cpu_count() or 1) for k in asked)
+    assert recorded == plain
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
@@ -376,6 +396,23 @@ def test_nonfinite_kappa_exits_2(kappa, capsys):
                                    kappa, "--n", "10", "--seed", "1"])
     assert code == 2 and out == ""
     assert err == "error: kappa must be finite\n"
+
+
+# a tilt audit of 5 lines cannot see its negative control, so it exits 1
+@pytest.mark.parametrize("argv,exit_code", [
+    (["bundle", "--density", "tilt"], 0),
+    (["bundle", "--density", "tilt-radial"], 0),
+    (["gauge-audit", "--density", "tilt"], 1),
+], ids=["bundle-tilt", "bundle-tilt-radial", "gauge-audit-tilt"])
+def test_overflowing_kappa_exits_2(argv, exit_code, capsys):
+    # exp(-2 kappa), the rejection bound, overflows below kappa = -354.89
+    code, out, err = _run(capsys, [*argv, "--kappa", "-400", "--n", "5",
+                                   "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: kappa is too negative")
+    code, _, _ = _run(capsys, [*argv, "--kappa", "-354", "--n", "5",
+                               "--seed", "1"])
+    assert code == exit_code
 
 
 def test_sampler_error_exits_3(capsys):

@@ -145,8 +145,8 @@ def _cube_halfspaces(lo=0.0, hi=1.0):
 
 
 def test_halfspaces_match_box():
-    """The box fast path and the general slab kernel agree bit for bit, so
-    keeping the fast path is a speed choice only."""
+    """A box and the same box as six halfspaces agree bit for bit: both go
+    through the one slab kernel, the halfspaces through exact products."""
     hs = _cube_halfspaces()
     rng = make_rng(4)
     lines = sample_isotropic(rng, 2.0, 10_000)
@@ -175,6 +175,23 @@ def test_slanted_halfspace_chords_do_not_depend_on_block(monkeypatch):
     for n in range(2, 201):
         part = DirectedLine(lines.u[:n], lines.foot[:n])
         assert np.array_equal(chord(tet, part), whole[:n]), n
+
+
+def test_slanted_parallel_faces_hit_or_miss_whole():
+    # u = (1, -1, 0)/sqrt(2) lies in faces 0 and 3 of the tetrahedron, but
+    # u . n rounds to +-1.8e-17: the parallel tolerance must keep the line
+    # whole inside face 0's plane and drop it wholly outside
+    s = 1.0 / np.sqrt(3.0)
+    tet = Halfspaces(s * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                   [-1, -1, 1]], dtype=np.float64),
+                     np.full(4, s))
+    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    assert 0.0 < abs(u @ tet.normals[0]) <= 1e-12
+    n0, c0 = tet.normals[0], tet.offsets[0]
+    inside = DirectedLine(u, (c0 - 0.01) * n0)
+    assert abs(chord(tet, inside) - 1.877453) < 1e-6
+    assert abs(chord(tet, inside) - _march_chord(tet, inside)) < 5e-4
+    assert chord(tet, DirectedLine(u, (c0 + 0.01) * n0)) == 0.0
 
 
 def test_halfspaces_constants_exact():

@@ -1,9 +1,9 @@
 """Golden bytes: SHA-256 of CLI output for canonical small invocations.
 
-The README promises "same seed, same bytes, on any machine".  These digests
-pin that promise across commits: a change that moves any output byte of
-these commands fails here, and must either be fixed or come with new
-digests and a stated reason.
+The README promises that, on one machine, the same seed and the same
+``--threads`` give the same bytes.  These digests pin that promise across
+commits: a change that moves any output byte of these commands fails here,
+and must either be fixed or come with new digests and a stated reason.
 
 Each command writes to ``--out out`` (a relative path, so the manifest's
 command line is the same in every temporary directory).  To print fresh
@@ -27,6 +27,11 @@ RNG_42_7_SHA = \
 # kernel's products round, unlike a box's
 TETRAHEDRON = [{"normal": n, "offset": 1.0} for n in
                ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+# the unit cube as six halfspaces: axis-aligned normals through the general
+# halfspace path, where the products are exact
+CUBE = [{"normal": n, "offset": c} for n, c in
+        (([1, 0, 0], 1), ([-1, 0, 0], 0), ([0, 1, 0], 1), ([0, -1, 0], 0),
+         ([0, 0, 1], 1), ([0, 0, -1], 0))]
 
 # (name, argv, expected exit code, sha256 of the --out file)
 GOLDEN = [
@@ -83,6 +88,10 @@ GOLDEN = [
      ["chord", "--body", "halfspaces:@tetrahedron.json", "--radius", "1.8",
       "--n", "20000", "--seed", "4", "--threads", "2"], 0,
      "78e6fa723dd8c41bbb313caf98764c47e17a2b39eef0052713b17f266a843648"),
+    ("chord-cube-halfspaces",
+     ["chord", "--body", "halfspaces:@cube.json", "--radius", "1.8",
+      "--n", "20000", "--seed", "4"], 0,
+     "ca57de86ad5fbf1d6da5d0deca1ac5efceff285c2d73783a00d6c43ee1079c0d"),
     ("bertrand-midpoint",
      ["bertrand", "--method", "midpoint", "--n", "20000", "--seed", "3"], 0,
      "162ca529db6798718d9b52b5f87393f58d1013690caaa3033243d6b7225e545c"),
@@ -124,6 +133,7 @@ def _cpu() -> str:
 def _digest(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tetrahedron.json").write_text(json.dumps(TETRAHEDRON))
+    (tmp_path / "cube.json").write_text(json.dumps(CUBE))
     monkeypatch.delenv("FIBERLINE_SEED", raising=False)
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     code = main([*argv, "--out", "out"])

@@ -7,7 +7,9 @@ with the named test more than 3 sigma (or below the p-value floor) off.
 The patches target the names the CLI actually calls:
 ``fiberline.bundle.sample_disk`` for the disk offsets of every isotropic
 line, ``fiberline.haar.sample_sphere3`` for the frames of ``sample_rotation``,
-and ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions.
+``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions,
+``fiberline.stats.chord`` for the chords of ``chord`` and
+``fiberline.cli.bertrand_indicators`` for ``bertrand``.
 """
 import json
 from contextlib import ExitStack
@@ -17,9 +19,17 @@ import numpy as np
 import pytest
 
 import fiberline.bundle
+import fiberline.stats
 from fiberline.cli import main
+from fiberline.geometry import Halfspaces
 
 _real_disk = fiberline.bundle.sample_disk
+_real_chord = fiberline.stats.chord
+_real_bertrand = fiberline.stats.bertrand_indicators
+
+# a regular tetrahedron, as in the golden chord cases
+TETRAHEDRON = [{"normal": n, "offset": 1.0} for n in
+               ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
 
 
 def _disk_linear_radius(rng, radius, n):
@@ -40,6 +50,21 @@ def _cube_quaternions(rng, n):
     return q / np.sqrt(np.sum(q * q, axis=1))[:, None]
 
 
+def _chord_offset_flipped(body, dl):
+    """Clip halfspace bodies with the first offset's sign flipped; the
+    oracles still see the true body."""
+    if isinstance(body, Halfspaces):
+        offsets = body.offsets.copy()
+        offsets[0] = -offsets[0]
+        body = Halfspaces(body.normals, offsets)
+    return _real_chord(body, dl)
+
+
+def _bertrand_swapped(rng, method, n):
+    """Asked for midpoint chords, draw radial ones."""
+    return _real_bertrand(rng, "radial" if method == "midpoint" else method, n)
+
+
 DISK = "fiberline.bundle.sample_disk"
 QUATS = ("fiberline.haar.sample_sphere3", "fiberline.cli.sample_sphere3")
 
@@ -48,14 +73,22 @@ DEFECTS = {
     "disk-r-linear": ((DISK,), _disk_linear_radius),
     "disk-1pct-short": ((DISK,), _disk_short),
     "cube-quaternions": (QUATS, _cube_quaternions),
+    "halfspace-offset-flipped": (("fiberline.stats.chord",),
+                                 _chord_offset_flipped),
+    "bertrand-swapped": (("fiberline.cli.bertrand_indicators",),
+                         _bertrand_swapped),
 }
 COMMANDS = {
     "ball": ["chord", "--body", "ball:0,0,0,1", "--radius", "2"],
     "box": ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8"],
     "haar-test": ["haar-test"],
+    "tetrahedron": ["chord", "--body", "halfspaces:@tetrahedron.json",
+                    "--radius", "1.8"],
+    "bertrand": ["bertrand", "--method", "midpoint"],
 }
 # (defect, command, the test that must catch it); at seed 1 the caught
-# statistics are z 500, 225, 11.8, 9.4, chi-square 11473 (p 0) and z 10.0
+# statistics are z 500, 225, 11.8, 9.4, chi-square 11473 (p 0), z 10.0,
+# -915 and 500
 POWER = [
     ("disk-r-linear", "ball", "hit_rate_z"),
     ("disk-r-linear", "box", "hit_rate_z"),
@@ -63,7 +96,15 @@ POWER = [
     ("disk-1pct-short", "box", "hit_rate_z"),
     ("cube-quaternions", "haar-test", "axis_isotropy_chi2"),
     ("cube-quaternions", "box", "mean_chord_z"),
+    ("halfspace-offset-flipped", "tetrahedron", "hit_rate_z"),
+    ("bertrand-swapped", "bertrand", "probability_z"),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _tetrahedron_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tetrahedron.json").write_text(json.dumps(TETRAHEDRON))
 
 
 def _run(capsys, command, defect=None):
