@@ -11,9 +11,10 @@ Exit codes: 0 pass, 1 statistical fail, 2 usage/input error, 3 runtime
 sampler error (error name on standard error).
 
 ``--threads k`` (every subcommand but gauge-audit) shards n across k sibling
-random streams (ids 1..k) joined in stream order, so output depends on the
+random streams (ids 1..k), taken in stream order, so output depends on the
 flag value but not on scheduling; at most ``os.cpu_count()`` worker threads
-run the shards.
+run the shards.  ``sample`` and ``bundle`` write the shards' lines in
+stream order, block by block, without joining them first.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import os
 import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -46,8 +48,7 @@ from .errors import FiberlineError, InsufficientRadius, TooFewSamples
 from .geometry import Ball, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
-from .linespace import DirectedLine, _unit_and_length, lines_to_csv, \
-    lines_to_json
+from .linespace import _unit_and_length, write_lines
 from .randkit import make_rng, split
 from .stats import (
     Estimate,
@@ -119,21 +120,25 @@ def _run_shards(seed: int, threads: int, n: int, fn) -> list:
         return list(ex.map(fn, streams, sizes))
 
 
-def _concat_lines(parts: list[DirectedLine]) -> DirectedLine:
-    if len(parts) == 1:
-        return parts[0]
-    return DirectedLine(
-        np.concatenate([p.u for p in parts]),
-        np.concatenate([p.foot for p in parts]),
-    )
+@contextmanager
+def _output(out: str | None):
+    """The text file a command writes to: ``--out``, or standard output.
 
-
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    A reader that closes standard output early (``| head``) ends the output
+    quietly: the rest is dropped, and standard output is pointed at the null
+    device so that the interpreter's flush at exit cannot fail either.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _z_test(est: Estimate, oracle: float) -> tuple[dict, bool]:
@@ -228,13 +233,9 @@ def _cmd_sample(args, argv: list[str]) -> None:
         parts = _run_shards(args.seed, args.threads, args.n,
                             lambda st, m: source(st, args.radius, m))
         extra = None
-    lines = _concat_lines(parts)
     manifest = _manifest(argv, args.seed, args.n, extra)
-    if args.format == "csv":
-        comment = "manifest: " + json.dumps(manifest, separators=(",", ":"))
-        _write(lines_to_csv(lines, comments=[comment]), args.out)
-    else:
-        _write(lines_to_json(lines, manifest), args.out)
+    with _output(args.out) as fh:
+        write_lines(fh, parts, manifest, args.format)
 
 
 def _cmd_bertrand(args, argv: list[str]) -> dict:
@@ -450,7 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.n < 1:
             raise ValueError("n must be positive")
         report = _EXPERIMENTS[args.cmd](args, argv)
-        _write(json.dumps(report, indent=2) + "\n", args.out)
+        with _output(args.out) as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["pass"] else 1
     except InsufficientRadius as exc:
         print(f"InsufficientRadius: {exc}", file=sys.stderr)

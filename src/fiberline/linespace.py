@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "lines_to_records",
     "lines_to_csv",
     "lines_to_json",
+    "write_lines",
 ]
 
 _UNIT_TOL = 1e-12
@@ -230,10 +232,34 @@ _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{k}": %r' for k in _COLUMNS) + "\n    }"
 
 
-def _flat_values(dl: DirectedLine) -> tuple[int, tuple[float, ...]]:
-    """Row count and the row-major _COLUMNS values of every row."""
-    cols = _table(dl)
-    return len(cols), tuple(cols.ravel().tolist())
+def _value_blocks(parts) -> Iterator[tuple[int, tuple[float, ...]]]:
+    """Row count and row-major _COLUMNS values of each block of rows of each
+    DirectedLine in ``parts``, in order: one block's table at a time."""
+    for dl in parts:
+        u, foot = np.atleast_2d(dl.u), np.atleast_2d(dl.foot)
+        for s in blocks(len(u)):
+            table = np.concatenate([u[s], foot[s]], axis=1)
+            yield len(table), tuple(table.ravel().tolist())
+
+
+def _csv_chunks(parts, comments: list[str] | None) -> Iterator[str]:
+    yield "".join(f"# {c}\n" for c in comments or []) + _CSV_HEADER
+    for rows, values in _value_blocks(parts):
+        yield (_CSV_ROW * rows) % values
+
+
+def _json_chunks(parts, manifest: dict) -> Iterator[str]:
+    head = json.dumps({"manifest": manifest, "lines": []}, indent=2)
+    if not any(len(dl) for dl in parts):
+        yield head + "\n"
+        return
+    # head ends with '"lines": []\n}'; open the list and splice the records in
+    yield head[:-len("]\n}")] + "\n"
+    sep = ""  # records are joined by ",\n" across block and part edges too
+    for rows, values in _value_blocks(parts):
+        yield sep + ",\n".join([_JSON_RECORD] * rows) % values
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def lines_to_csv(dl: DirectedLine, comments: list[str] | None = None) -> str:
@@ -243,24 +269,38 @@ def lines_to_csv(dl: DirectedLine, comments: list[str] | None = None) -> str:
     17 significant digits round-trip doubles exactly, so equal inputs yield
     byte-identical text.
     """
-    n, values = _flat_values(dl)
-    head = "".join(f"# {c}\n" for c in comments or [])
-    return head + _CSV_HEADER + (_CSV_ROW * n) % values
+    return "".join(_csv_chunks([dl], comments))
 
 
 def lines_to_json(dl: DirectedLine, manifest: dict) -> str:
     """JSON document ``{"manifest": ..., "lines": [records]}`` plus newline.
 
     Byte-identical to ``json.dumps({"manifest": manifest, "lines":
-    lines_to_records(dl)}, indent=2) + "\n"``, built from one bulk ``%r``
-    template instead of the pure-Python indenting encoder.  ``%r`` of a float
-    is ``float.__repr__``, which is what ``json`` writes; the NaN/Infinity
-    spellings cannot arise because DirectedLine rejects non-finite values.
+    lines_to_records(dl)}, indent=2) + "\n"``: the head comes from
+    ``json.dumps`` of the empty document, and each block of rows is filled
+    into a ``%r`` template instead of going through the pure-Python
+    indenting encoder.  ``%r`` of a float is ``float.__repr__``, which is
+    what ``json`` writes; the NaN/Infinity spellings cannot arise because
+    DirectedLine rejects non-finite values.
     """
-    head = json.dumps({"manifest": manifest, "lines": []}, indent=2)
-    n, values = _flat_values(dl)
-    if n == 0:
-        return head + "\n"
-    # head ends with '"lines": []\n}'; open the list and splice the records in
-    body = ",\n".join([_JSON_RECORD] * n) % values
-    return head[:-len("]\n}")] + "\n" + body + "\n  ]\n}\n"
+    return "".join(_json_chunks([dl], manifest))
+
+
+def write_lines(fh, parts, manifest: dict, fmt: str) -> None:
+    """Write the lines of ``parts`` (DirectedLine batches, in order) to the
+    text file ``fh``, formatting one block of rows at a time.
+
+    ``fmt="csv"`` writes the bytes of :func:`lines_to_csv` of all the lines
+    with the comment ``manifest: <compact JSON>``; ``fmt="json"`` writes
+    those of :func:`lines_to_json`.  No whole-n table or text is built, so
+    memory beyond the lines themselves does not grow with their number.
+    """
+    if fmt == "csv":
+        comment = "manifest: " + json.dumps(manifest, separators=(",", ":"))
+        chunks = _csv_chunks(parts, [comment])
+    elif fmt == "json":
+        chunks = _json_chunks(parts, manifest)
+    else:
+        raise ValueError(f"unknown line format {fmt!r}")
+    for chunk in chunks:
+        fh.write(chunk)

@@ -499,6 +499,22 @@ def test_console_entry_point():
     assert "ux,uy,uz,qx,qy,qz" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "100000"],
+    ["bundle", "--density", "tilt", "--n", "50000", "--format", "json"],
+], ids=["csv", "json"])
+def test_reader_closing_stdout_early_is_not_an_error(argv):
+    # `fiberline sample ... | head -c 100`: the output is cut short, quietly
+    proc = subprocess.Popen([sys.executable, "-m", "fiberline", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
 def test_no_scipy_import_outside_haar_test():
     # scipy costs a quarter second to import; only haar-test's chi-square
     # test and halfspace bodies need it
