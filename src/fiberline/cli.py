@@ -45,7 +45,7 @@ from .bundle import (
     uniform_density,
 )
 from .errors import FiberlineError, InsufficientRadius, TooFewSamples
-from .geometry import Ball, parse_body
+from .geometry import Ball, _floats, parse_body
 from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
     s3_w_cdf, sample_sphere3
 from .linespace import _unit_and_length, write_lines
@@ -180,18 +180,9 @@ def _report(args, argv: list[str], experiment: str, parameters: dict,
     return rep
 
 
-def _axis_of(args) -> list[float]:
-    parts = args.axis.split(",")
-    if len(parts) != 3:
-        raise ValueError("--axis needs three comma-separated numbers")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"--axis is not numeric: {args.axis!r}") from None
-
-
 # --density name -> (factory, the flags it takes before the disk radius),
-# in the order the flags appear in the report's "parameters"
+# in the order the flags appear in the report's "parameters"; a density
+# refuses the strength flags it does not list
 _DENSITIES = {
     "uniform": (uniform_density, ()),
     "tilt": (tilt_density, ("kappa", "axis")),
@@ -199,12 +190,19 @@ _DENSITIES = {
     "tilt-radial": (tilt_radial_density, ("kappa", "sigma", "axis")),
     "foot-tilt": (foot_tilt_density, ("beta", "axis")),
 }
+_STRENGTHS = {"kappa": 1.0, "sigma": 0.5, "beta": 4.0}  # flag -> default
 
 
 def _density_of(args) -> tuple[LineDensity, dict]:
     """The --density flags' line density and its report parameters."""
     factory, flags = _DENSITIES[args.density]
-    given = {**vars(args), "axis": _axis_of(args)}
+    given = {"axis": _floats(args.axis, 3, "--axis")}
+    for f, default in _STRENGTHS.items():
+        value = getattr(args, f)
+        if f in flags:
+            given[f] = default if value is None else value
+        elif value is not None:
+            raise ValueError(f"--{f} does not apply to --density {args.density}")
     params = {"density": args.density, "axis": given["axis"],
               "disk_radius": args.radius,
               **{f: given[f] for f in flags if f != "axis"}}
@@ -315,7 +313,7 @@ def _cmd_haar_test(args, argv: list[str]) -> dict:
 
 
 def _estimator_of(args):
-    axis, _ = _unit_and_length(_axis_of(args), "axis")
+    axis, _ = _unit_and_length(_floats(args.axis, 3, "--axis"), "axis")
     if args.estimator == "foot-axis":
         return lambda lines: lines.foot @ axis
     if args.estimator == "chord-ball":
@@ -329,11 +327,14 @@ def _cmd_gauge_audit(args, argv: list[str]) -> dict:
     est_fn = _estimator_of(args)
     correct = gauge_audit(make_rng(args.seed), density, est_fn, args.n)
     broken = correct.broken
-    # feet are as large as the disk radius, so their rounding scales with it
+    # feet are as large as the disk radius, so their rounding scales with
+    # it, and so does that of foot-axis, a foot coordinate
+    scale = max(1.0, args.radius)
     passed = (
         correct.max_direction_dev <= 1e-10
-        and correct.max_foot_dev <= 1e-10 * max(1.0, args.radius)
-        and correct.gap <= 1e-10
+        and correct.max_foot_dev <= 1e-10 * scale
+        and correct.gap <= 1e-10 * (scale if args.estimator == "foot-axis"
+                                    else 1.0)
         and broken.gap_sigma > 3.0
     )
     return _report(
@@ -370,12 +371,12 @@ def _add_common(p: argparse.ArgumentParser, n_default: int,
 
 def _add_density_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--density", choices=tuple(_DENSITIES), default="uniform")
-    p.add_argument("--kappa", type=float, default=1.0,
-                   help="direction tilt strength")
-    p.add_argument("--sigma", type=float, default=0.5,
-                   help="radial falloff scale")
-    p.add_argument("--beta", type=float, default=4.0,
-                   help="foot tilt strength (foot-tilt density)")
+    p.add_argument("--kappa", type=float,
+                   help="direction tilt strength (tilt densities; default 1)")
+    p.add_argument("--sigma", type=float,
+                   help="radial falloff scale (radial densities; default 0.5)")
+    p.add_argument("--beta", type=float,
+                   help="foot tilt strength (foot-tilt density; default 4)")
     p.add_argument("--axis", default="0,0,1", help="reference axis x,y,z")
 
 

@@ -17,7 +17,6 @@ identically).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,6 @@ from .errors import AntipodalViolation, BoundViolated, NonFinite, NotUnit, \
 from .randkit import RngStream
 
 __all__ = [
-    "AcceptanceStats",
     "sample_sphere2",
     "sample_sphere3",
     "sample_ball3",
@@ -49,18 +47,6 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _TINY_NORM = 1e-6  # gaussian/ball vectors shorter than this are redrawn
 _STALL_ACCEPTANCE = 1e-6  # rejection loops keeping less than this stall
-
-
-@dataclass(frozen=True)
-class AcceptanceStats:
-    """Bookkeeping from a rejection sampler: proposals seen, proposals kept."""
-
-    accepted: int
-    proposals: int
-
-    @property
-    def rate(self) -> float:
-        return self.accepted / self.proposals if self.proposals else 0.0
 
 
 def _batch(n: int | None) -> tuple[int, bool]:
@@ -335,7 +321,10 @@ def _rejection(
         want = m - got
         k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
         props = propose(k)
-        val = np.asarray(f(*props), dtype=np.float64)
+        # a density that underflows to exp(-inf) = 0 is exact, not an error;
+        # +inf and NaN still fail the checks below
+        with np.errstate(over="ignore", divide="ignore"):
+            val = np.asarray(f(*props), dtype=np.float64)
         if val.shape != (k,):
             raise ValueError("density must return one value per proposal")
         if not np.all(np.isfinite(val)):

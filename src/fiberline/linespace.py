@@ -31,8 +31,6 @@ __all__ = [
     "point_at",
     "lines_equal",
     "lines_to_records",
-    "lines_to_csv",
-    "lines_to_json",
     "write_lines",
 ]
 
@@ -242,8 +240,9 @@ def _value_blocks(parts) -> Iterator[tuple[int, tuple[float, ...]]]:
             yield len(table), tuple(table.ravel().tolist())
 
 
-def _csv_chunks(parts, comments: list[str] | None) -> Iterator[str]:
-    yield "".join(f"# {c}\n" for c in comments or []) + _CSV_HEADER
+def _csv_chunks(parts, manifest: dict) -> Iterator[str]:
+    comment = json.dumps(manifest, separators=(",", ":"))
+    yield f"# manifest: {comment}\n" + _CSV_HEADER
     for rows, values in _value_blocks(parts):
         yield (_CSV_ROW * rows) % values
 
@@ -262,42 +261,25 @@ def _json_chunks(parts, manifest: dict) -> Iterator[str]:
     yield "\n  ]\n}\n"
 
 
-def lines_to_csv(dl: DirectedLine, comments: list[str] | None = None) -> str:
-    """CSV text with header ``ux,uy,uz,qx,qy,qz`` and %.17g values.
-
-    ``comments`` lines (if any) are emitted first, each prefixed with '# '.
-    17 significant digits round-trip doubles exactly, so equal inputs yield
-    byte-identical text.
-    """
-    return "".join(_csv_chunks([dl], comments))
-
-
-def lines_to_json(dl: DirectedLine, manifest: dict) -> str:
-    """JSON document ``{"manifest": ..., "lines": [records]}`` plus newline.
-
-    Byte-identical to ``json.dumps({"manifest": manifest, "lines":
-    lines_to_records(dl)}, indent=2) + "\n"``: the head comes from
-    ``json.dumps`` of the empty document, and each block of rows is filled
-    into a ``%r`` template instead of going through the pure-Python
-    indenting encoder.  ``%r`` of a float is ``float.__repr__``, which is
-    what ``json`` writes; the NaN/Infinity spellings cannot arise because
-    DirectedLine rejects non-finite values.
-    """
-    return "".join(_json_chunks([dl], manifest))
-
-
 def write_lines(fh, parts, manifest: dict, fmt: str) -> None:
     """Write the lines of ``parts`` (DirectedLine batches, in order) to the
     text file ``fh``, formatting one block of rows at a time.
 
-    ``fmt="csv"`` writes the bytes of :func:`lines_to_csv` of all the lines
-    with the comment ``manifest: <compact JSON>``; ``fmt="json"`` writes
-    those of :func:`lines_to_json`.  No whole-n table or text is built, so
-    memory beyond the lines themselves does not grow with their number.
+    ``fmt="csv"`` writes the comment line ``# manifest: <compact JSON>``,
+    the header ``ux,uy,uz,qx,qy,qz`` and one row of %.17g values per line;
+    17 significant digits round-trip doubles exactly, so equal inputs give
+    equal bytes.  ``fmt="json"`` writes the bytes of ``json.dumps({"manifest":
+    manifest, "lines": lines_to_records(all the lines)}, indent=2) + "\n"``:
+    the head comes from ``json.dumps`` of the empty document, and each block
+    of rows is filled into a ``%r`` template instead of going through the
+    pure-Python indenting encoder.  ``%r`` of a float is ``float.__repr__``,
+    which is what ``json`` writes; the NaN/Infinity spellings cannot arise
+    because DirectedLine rejects non-finite values.  No whole-n table or
+    text is built, so memory beyond the lines themselves does not grow with
+    their number.
     """
     if fmt == "csv":
-        comment = "manifest: " + json.dumps(manifest, separators=(",", ":"))
-        chunks = _csv_chunks(parts, [comment])
+        chunks = _csv_chunks(parts, manifest)
     elif fmt == "json":
         chunks = _json_chunks(parts, manifest)
     else:

@@ -25,7 +25,6 @@ from fiberline.cli import main
 from fiberline.errors import PoleSingularity
 from fiberline.geometry import Ball, Box, chord
 from fiberline.haar import (
-    AcceptanceStats,
     angle_between,
     hopf_map,
     naive_frame,
@@ -228,11 +227,11 @@ def test_criterion_10_reproducibility(capsys):
     # tilt kappa=2 acceptance over ~1e6 proposals: (1 - e^-4)/4
     rng = make_rng(1000)
     sample_bundle(rng, tilt_density(2.0), 240_000)
-    st = AcceptanceStats(rng.accepted, rng.proposals)
+    rate = rng.accepted / rng.proposals
     target = (1.0 - math.exp(-4.0)) / 4.0
-    ok_rate = st.proposals > 900_000 and abs(st.rate - target) < 0.01 * target
+    ok_rate = rng.proposals > 900_000 and abs(rate - target) < 0.01 * target
     ok = same_csv and same_json and ok_rate
     _verdict("criterion 10, reproducibility + acceptance rate", ok,
              f"csv identical={same_csv}, report identical={same_json}, "
-             f"tilt rate {st.rate:.5f} (want {target:.5f}) "
-             f"over {st.proposals} proposals")
+             f"tilt rate {rate:.5f} (want {target:.5f}) "
+             f"over {rng.proposals} proposals")

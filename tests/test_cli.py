@@ -311,6 +311,18 @@ def test_gauge_audit_passes(capsys):
     assert dev["broken_gap_sigma"] > 3.0
 
 
+def test_gauge_audit_gap_scales_with_radius(capsys):
+    # foot-axis reads a foot coordinate, so its gap rounds like a foot: at
+    # R = 1e6 this seed's gap is 2^-33, about 1.16e-10
+    code, out, _ = _run(capsys, ["gauge-audit", "--n", "20000", "--seed", "3",
+                                 "--density", "foot-tilt", "--radius", "1e6",
+                                 "--beta", "4e-6"])
+    dev = json.loads(out)["deviations"]
+    assert 1e-10 < dev["estimate_gap"] <= 1e-10 * 1e6
+    assert dev["broken_gap_sigma"] > 3.0
+    assert code == 0
+
+
 def test_gauge_audit_direction_estimator_cannot_see_break(capsys):
     # (u . e_z)^2 is blind to the broken action, so the negative control is
     # undetectable and the audit reports failure
@@ -482,6 +494,22 @@ def test_sample_takes_no_density(argv, capsys):
         main(["sample", "--n", "2", "--seed", "1", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# every strength flag a density does not take, on both density commands
+_IGNORED = [(cmd, density, flag)
+            for cmd in ("bundle", "gauge-audit")
+            for density, (_, takes) in fiberline.cli._DENSITIES.items()
+            for flag in ("kappa", "sigma", "beta") if flag not in takes]
+
+
+@pytest.mark.parametrize("cmd,density,flag", _IGNORED,
+                         ids=[f"{c}-{d}-{f}" for c, d, f in _IGNORED])
+def test_density_refuses_flags_it_ignores(cmd, density, flag, capsys):
+    code, out, err = _run(capsys, [cmd, "--density", density, f"--{flag}", "2",
+                                   "--n", "10", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --{flag} does not apply to --density {density}\n"
 
 
 def test_unknown_flag_exits_2():

@@ -73,6 +73,15 @@ GOLDEN = [
      ["bundle", "--density", "tilt", "--kappa", "2", "--format", "json",
       "--n", "200", "--seed", "3", "--threads", "2"], 0,
      "10edb9085b0ad64d996ac8231336d173c3bb9cc21152ba4a4a3ee17286a7ecb4"),
+    # the CSV path: the manifest comment carries parameters and acceptance
+    ("bundle-radial-csv",
+     ["bundle", "--density", "radial", "--sigma", "0.3", "--n", "200",
+      "--seed", "3"], 0,
+     "04ae2e18aaa762f291dc9f2d318abd61eb8073bb713ee8dab06b52543c3b3a7a"),
+    ("bundle-tilt-radial-csv-t2",
+     ["bundle", "--density", "tilt-radial", "--kappa", "2", "--sigma", "0.4",
+      "--n", "200", "--seed", "3", "--threads", "2"], 0,
+     "4ac277722548b2bf6ce91d64e27ecade0bfc22520cbdf0e4339ea887b9ef0086"),
     ("haar-test",
      ["haar-test", "--n", "5000", "--seed", "5"], 0,
      "8314f655a3852c7e4185ee26fda9d1c5c7e2ff0c90efa84b08675b07f2057e82"),

@@ -1,4 +1,5 @@
 """Line representations: chart conversions, canonicalization, serialization."""
+import io
 import json
 
 import numpy as np
@@ -15,13 +16,12 @@ from fiberline.linespace import (
     SlopeLine,
     directed_to_slope,
     lines_equal,
-    lines_to_csv,
-    lines_to_json,
     lines_to_records,
     point_at,
     slope_measure_weight,
     slope_to_directed,
     undirect,
+    write_lines,
 )
 from fiberline.randkit import make_rng
 
@@ -241,13 +241,19 @@ def test_batch_len():
     assert not single.is_batch and len(single) == 1
 
 
+def _written(dl, manifest, fmt):
+    sink = io.StringIO()
+    write_lines(sink, [dl], manifest, fmt)
+    return sink.getvalue()
+
+
 def test_records_and_csv():
     dl = DirectedLine(np.tile(EZ, (2, 1)), [[1.0, 2.0, 0.0], [0.25, 0.0, 0.0]])
     recs = lines_to_records(dl)
     assert recs[0] == {"ux": 0.0, "uy": 0.0, "uz": 1.0, "qx": 1.0, "qy": 2.0, "qz": 0.0}
-    text = lines_to_csv(dl, comments=["hello"])
+    text = _written(dl, {"n": 2}, "csv")
     lines = text.splitlines()
-    assert lines[0] == "# hello"
+    assert lines[0] == '# manifest: {"n":2}'
     assert lines[1] == "ux,uy,uz,qx,qy,qz"
     assert lines[3].startswith("0,0,1,0.25")
     # 17 significant digits survive a parse round trip
@@ -255,10 +261,10 @@ def test_records_and_csv():
     assert np.array_equal(vals, np.array([0, 0, 1, 1, 2, 0.0]))
 
 
-def _csv_reference(dl, comments=None):
-    """The per-row formatter that lines_to_csv replaced."""
+def _csv_reference(dl, manifest):
+    """The per-row formatter that the block writer replaced."""
     u, foot = np.atleast_2d(dl.u), np.atleast_2d(dl.foot)
-    out = [f"# {c}" for c in comments or []]
+    out = ["# manifest: " + json.dumps(manifest, separators=(",", ":"))]
     out.append("ux,uy,uz,qx,qy,qz")
     for row in np.concatenate([u, foot], axis=1):
         out.append(",".join("%.17g" % v for v in row))
@@ -298,15 +304,12 @@ MANIFEST = {
 @pytest.mark.parametrize("case", sorted(SERIALIZE_CASES))
 def test_csv_matches_per_row_reference(case):
     dl = SERIALIZE_CASES[case]()
-    assert lines_to_csv(dl) == _csv_reference(dl)
-    comments = ["manifest: " + json.dumps(MANIFEST, separators=(",", ":")),
-                "second"]
-    assert lines_to_csv(dl, comments=comments) == _csv_reference(dl, comments)
+    assert _written(dl, MANIFEST, "csv") == _csv_reference(dl, MANIFEST)
 
 
 @pytest.mark.parametrize("case", sorted(SERIALIZE_CASES))
 def test_json_matches_json_dumps(case):
     dl = SERIALIZE_CASES[case]()
-    text = lines_to_json(dl, MANIFEST)
+    text = _written(dl, MANIFEST, "json")
     assert text == _json_reference(dl, MANIFEST)
     assert json.loads(text)["lines"] == lines_to_records(dl)

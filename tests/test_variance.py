@@ -18,15 +18,24 @@ and s^2 must lie within 3 of those standard deviations of sigma^2.
 
 Each check runs at seed 1 and n = 200000; a stderr inflated by 25% must
 fail every one of them.
+
+The box's mean chord has no closed-form variance, so its stderr is checked
+over seeds instead: at 400 seeds the reported z scores must look like 400
+draws of N(0, 1).  Sum z^2 is tested against chi^2(400), two-sided, and the
+z are tested against N(0, 1) by Kolmogorov-Smirnov, both at p > 1e-3; the
+hit rate's z from the same runs get the same two tests.  z / 1.25 is the z
+a 25% larger stderr would report, and its sum of squares must fail.
 """
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
+from scipy.special import chdtr, chdtrc, ndtr
 
 import fiberline.cli
 from fiberline.cli import main
-from fiberline.stats import Estimate
+from fiberline.stats import Estimate, ks_test
 
 SEED = 1
 N = 200_000
@@ -92,3 +101,40 @@ def test_inflated_stderr_fails_variance_check(name, capsys):
         code, z = _variance_z(capsys, name)
     assert code == 0
     assert abs(z) > 3.0, z
+
+
+SWEEP_SEEDS = range(1000, 1400)
+SWEEP_ARGV = ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
+              "--n", "20000"]
+
+
+@pytest.fixture(scope="module")
+def box_sweep(tmp_path_factory):
+    """z scores of each test key over the sweep's seeds."""
+    out = tmp_path_factory.mktemp("sweep") / "report.json"
+    z = {"mean_chord_z": [], "hit_rate_z": []}
+    for seed in SWEEP_SEEDS:
+        assert main([*SWEEP_ARGV, "--seed", str(seed), "--out", str(out)]) in (0, 1)
+        tests = json.loads(out.read_text())["tests"]
+        for key, series in z.items():
+            series.append(tests[key]["statistic"])
+    return {key: np.array(series) for key, series in z.items()}
+
+
+def _chi2_two_sided(z):
+    """Two-sided p of sum z^2 against chi^2(len(z))."""
+    stat, dof = float(np.sum(z * z)), len(z)
+    return 2.0 * min(chdtr(dof, stat), chdtrc(dof, stat))
+
+
+@pytest.mark.parametrize("key", ["mean_chord_z", "hit_rate_z"])
+def test_box_seed_sweep_z_is_standard_normal(key, box_sweep):
+    z = box_sweep[key]
+    assert _chi2_two_sided(z) > 1e-3
+    assert ks_test(z, ndtr).p_value > 1e-3
+
+
+@pytest.mark.parametrize("key", ["mean_chord_z", "hit_rate_z"])
+def test_box_seed_sweep_catches_inflated_stderr(key, box_sweep):
+    # the negative control, from the same runs
+    assert _chi2_two_sided(box_sweep[key] / 1.25) <= 1e-3

@@ -1,10 +1,10 @@
-"""The streamed line writer: the bytes of the whole-string formatters, in
-memory that does not grow with the number of lines.
+"""The streamed line writer: the bytes of the lines joined into one batch,
+in memory that does not grow with the number of lines.
 
 ``sample`` and ``bundle`` hand the shards' lines to ``write_lines``, which
 formats and writes one ``_blocks.blocks()`` slice of one shard at a time.
 Shard edges and block edges fall anywhere in the output, so each
-combination is compared with ``lines_to_csv`` and ``json.dumps`` of the
+combination is compared with ``write_lines`` and ``json.dumps`` of the
 lines joined into one batch.
 """
 import io
@@ -20,7 +20,6 @@ from fiberline.bundle import sample_isotropic
 from fiberline.cli import _run_shards, main
 from fiberline.linespace import (
     DirectedLine,
-    lines_to_csv,
     lines_to_records,
     write_lines,
 )
@@ -61,7 +60,9 @@ def test_streamed_output_matches_joined_lines(size, threads, block, tmp_path,
     text = (tmp_path / "out").read_text(encoding="utf-8")
     comment = text[2:text.index("\n")]
     assert comment.startswith("manifest: ")
-    assert text == lines_to_csv(lines, comments=[comment])
+    joined = io.StringIO()
+    write_lines(joined, [lines], json.loads(comment[len("manifest: "):]), "csv")
+    assert text == joined.getvalue()
 
     assert main([*base, "--format", "json"]) == 0
     text = (tmp_path / "out").read_text(encoding="utf-8")
