@@ -369,8 +369,8 @@ def _add_common(p: argparse.ArgumentParser, n_default: int,
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _add_density_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--density", choices=tuple(_DENSITIES), default="uniform")
+def _add_density_flags(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--density", choices=tuple(_DENSITIES), default=default)
     p.add_argument("--kappa", type=float,
                    help="direction tilt strength (tilt densities; default 1)")
     p.add_argument("--sigma", type=float,
@@ -419,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0,
                    help="foot disk radius")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_density_flags(p)
+    _add_density_flags(p, "uniform")
 
     p = sub.add_parser("gauge-audit",
                        help="check estimates survive random gauge moves")
@@ -427,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0,
                    help="foot disk radius")
     p.add_argument("--estimator", choices=_ESTIMATORS, default="foot-axis")
-    _add_density_flags(p)
+    # foot-axis sees the broken move only where the feet are not uniform
+    _add_density_flags(p, "foot-tilt")
 
     return ap
 

@@ -5,9 +5,10 @@ intersections of halfspaces.  ``chord`` returns the length of the
 intersection of a line with the body (0 for a miss; tangency counts as a
 miss).  Boxes and halfspace bodies share one slab-clipping kernel, ``_clip``
 (Kay & Kajiya 1986; Cyrus & Beck 1978): a box is three two-sided slabs, a
-halfspace body one one-sided slab per face.  Volume, surface area and
-bounding radius are exact for every body: closed forms for balls and boxes,
-the vertices of the polytope for halfspaces.
+halfspace body one one-sided slab per face, its sums in a fixed order with
+no BLAS call, so chords do not depend on the BLAS build or the batch size.
+Volume, surface area and bounding radius are exact for every body: closed
+forms for balls and boxes, the vertices of the polytope for halfspaces.
 """
 from __future__ import annotations
 
@@ -177,8 +178,9 @@ def chord(body: ConvexBody, dl: DirectedLine) -> np.ndarray:
         kernel = lambda u, f: _clip(u, f, body.lo, body.hi)
     elif isinstance(body, Halfspaces):
         # one one-sided slab per face: n . (f + t u) <= c
-        nt = body.normals.T
-        kernel = lambda u, f: _clip(u @ nt, f @ nt, -np.inf, body.offsets)
+        n0, n1, n2 = np.hsplit(body.normals, 3)
+        dot = lambda v: (n0 * v[:, 0] + n1 * v[:, 1] + n2 * v[:, 2]).T
+        kernel = lambda u, f: _clip(dot(u), dot(f), -np.inf, body.offsets)
     else:
         raise TypeError(f"not a convex body: {type(body).__name__}")
     out = np.empty(len(u), dtype=np.float64)

@@ -270,8 +270,6 @@ def ball_chord_cdf(x: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 BERTRAND_METHODS = ("endpoints", "radial", "midpoint", "line-measure")
 
-_SQRT3 = math.sqrt(3.0)
-
 
 def bertrand_oracle(method: str) -> float:
     """Exact P(chord > sqrt(3)) for each construction on the unit circle."""
@@ -291,33 +289,29 @@ def bertrand_oracle(method: str) -> float:
 def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
     """0/1 array: does the sampled chord beat the inscribed triangle side.
 
-    endpoints    two uniform angles; chord 2 |sin((t1 - t2)/2)|
-    radial       uniform direction, uniform distance d along it; 2 sqrt(1-d^2)
-    midpoint     uniform midpoint in the disk at distance d; same chord law
-    line-measure uniform signed offset in [-1, 1) at a uniform direction
+    Exact comparisons on the uniforms (u1 - u2 and 2u - 1 are exact too):
+
+    endpoints    angles 2 pi u1 and 2 pi u2: 1/3 < |u1 - u2| < 2/3
+    radial       uniform direction, distance u2 along it: u2 < 1/2
+    midpoint     uniform midpoint m in the disk: |m|^2 < 1/4
+    line-measure offset 2 u2 - 1 at a uniform direction: |2 u2 - 1| < 1/2
     """
     bertrand_oracle(method)  # validate the name
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    if method == "endpoints":
-        u = rng.uniforms(2 * n)
-        t1 = 2.0 * np.pi * u[0::2]
-        t2 = 2.0 * np.pi * u[1::2]
-        ch = 2.0 * np.abs(np.sin(0.5 * (t1 - t2)))
-    elif method == "radial":
-        u = rng.uniforms(2 * n)
-        d = u[1::2]  # the direction angle u[0::2] does not affect the length
-        ch = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - d * d))
-    elif method == "midpoint":
+    if method == "midpoint":
         mid = sample_disk(rng, 1.0, n)
-        d2 = np.sum(mid * mid, axis=1)
-        ch = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - d2))
+        return (np.sum(mid * mid, axis=1) < 0.25).astype(np.float64)
+    u = rng.uniforms(2 * n)
+    if method == "endpoints":
+        d = np.abs(u[0::2] - u[1::2])
+        hit = (d > 1.0 / 3.0) & (d <= 2.0 / 3.0)  # fl(2/3) < 2/3
+    elif method == "radial":
+        hit = u[1::2] < 0.5
     else:  # line-measure
-        u = rng.uniforms(2 * n)
-        off = 2.0 * u[1::2] - 1.0
-        ch = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - off * off))
-    return (ch > _SQRT3).astype(np.float64)
+        hit = np.abs(2.0 * u[1::2] - 1.0) < 0.5
+    return hit.astype(np.float64)
 
 
 def bertrand_experiment(rng: RngStream, method: str, n: int) -> Estimate:

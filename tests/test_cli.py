@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output schema, exit codes, reproducibility."""
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -311,6 +312,17 @@ def test_gauge_audit_passes(capsys):
     assert dev["broken_gap_sigma"] > 3.0
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_gauge_audit_default_passes(seed, capsys):
+    # the defaults audit foot-axis on foot-tilt lines, whose feet lean along
+    # the axis, so the broken move shows in the estimate
+    code, out, _ = _run(capsys, ["gauge-audit", "--n", "20000", "--seed", seed])
+    rep = json.loads(out)
+    assert rep["parameters"]["density"] == "foot-tilt"
+    assert rep["parameters"]["estimator"] == "foot-axis"
+    assert code == 0, rep["deviations"]
+
+
 def test_gauge_audit_gap_scales_with_radius(capsys):
     # foot-axis reads a foot coordinate, so its gap rounds like a foot: at
     # R = 1e6 this seed's gap is 2^-33, about 1.16e-10
@@ -574,6 +586,25 @@ def test_no_scipy_import_outside_haar_test():
         assert marker in proc.stdout
 
 
+def test_benchmark_tracer_finds_its_spans(tmp_path):
+    # perfbench/tracer.py wraps the layers by name from outside the package;
+    # a rename there would leave the benchmark's per-layer metrics empty
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "spans.json",
+         "--", "bundle", "--density", "tilt", "--n", "50", "--seed", "1",
+         "--out", "x.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    names = {span[0] for span in spans}
+    assert {"bundle.BundlePoint.__post_init__",
+            "linespace.DirectedLine.__post_init__",
+            "linespace.write_lines"} <= names, sorted(names)
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--radius", "1e7", "--n", "100000"],
     ["sample", "--source", "cosine", "--radius", "1e7", "--n", "20000"],
@@ -618,8 +649,8 @@ def test_gauge_audit_huge_radius_is_finite(capsys):
     # move keeps the feet uniform, so at n = 100 the control is not caught
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, out, err = _run(capsys, ["gauge-audit", "--radius", "1e300",
-                                    "--n", "100"])
+        _, out, err = _run(capsys, ["gauge-audit", "--density", "uniform",
+                                    "--radius", "1e300", "--n", "100"])
     assert [str(w.message) for w in caught] == [] and err == ""
     assert "Infinity" not in out and "NaN" not in out
 

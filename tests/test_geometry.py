@@ -1,5 +1,8 @@
 """Chord lengths, body constants, and the body-description grammar."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -162,29 +165,64 @@ def test_halfspaces_match_box():
         assert np.array_equal(got, [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
-def test_slanted_halfspace_chords_do_not_depend_on_block(monkeypatch):
-    # a tetrahedron's slanted normals make the kernel's products round; a
-    # one-row block would route them through another BLAS routine
+def _tetrahedron():
     s = 1.0 / np.sqrt(3.0)
-    tet = Halfspaces(s * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1],
-                                   [-1, -1, 1]], dtype=np.float64),
-                     np.full(4, s))
+    return Halfspaces(s * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                    [-1, -1, 1]], dtype=np.float64),
+                      np.full(4, s))
+
+
+def test_slanted_halfspace_chords_do_not_depend_on_block(monkeypatch):
+    # a tetrahedron's slanted normals make the kernel's sums round; each row
+    # sums in one fixed order, so neither the block size nor the number of
+    # lines in a call moves a bit, down to one line at a time
+    tet = _tetrahedron()
     lines = sample_isotropic(make_rng(6), 1.8, 200)
     whole = chord(tet, lines)
-    monkeypatch.setattr(fiberline._blocks, "_BLOCK", 2)
-    for n in range(2, 201):
-        part = DirectedLine(lines.u[:n], lines.foot[:n])
-        assert np.array_equal(chord(tet, part), whole[:n]), n
+    for i in range(len(whole)):
+        one = DirectedLine(lines.u[i], lines.foot[i])
+        assert chord(tet, one) == whole[i], i
+    for block in (1, 2):
+        monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+        for n in range(1, 201):
+            part = DirectedLine(lines.u[:n], lines.foot[:n])
+            assert np.array_equal(chord(tet, part), whole[:n]), (block, n)
+
+
+def test_halfspace_chords_do_not_depend_on_blas_kernel():
+    # OpenBLAS picks its kernels by OPENBLAS_CORETYPE, set here in each
+    # child's environment only: Prescott's have no FMA, Haswell's do.  The
+    # chords use no BLAS product, so all three runs hash alike.
+    tet = _tetrahedron()
+    child = (
+        "import hashlib, numpy as np\n"
+        "from fiberline.bundle import sample_isotropic\n"
+        "from fiberline.geometry import Halfspaces, chord\n"
+        "from fiberline.randkit import make_rng\n"
+        f"tet = Halfspaces({tet.normals.tolist()!r}, {tet.offsets.tolist()!r})\n"
+        "lines = sample_isotropic(make_rng(1), 1.8, 200000)\n"
+        "print(hashlib.sha256(lines.u.tobytes() + lines.foot.tobytes())"
+        ".hexdigest(), hashlib.sha256(chord(tet, lines).tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(fiberline.__file__))
+    digests = {}
+    for core in ("Prescott", "Haswell", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (core, proc.stderr)
+        digests[core] = proc.stdout.split()
+    assert len({tuple(d) for d in digests.values()}) == 1, digests
 
 
 def test_slanted_parallel_faces_hit_or_miss_whole():
     # u = (1, -1, 0)/sqrt(2) lies in faces 0 and 3 of the tetrahedron, but
     # u . n rounds to +-1.8e-17: the parallel tolerance must keep the line
     # whole inside face 0's plane and drop it wholly outside
-    s = 1.0 / np.sqrt(3.0)
-    tet = Halfspaces(s * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1],
-                                   [-1, -1, 1]], dtype=np.float64),
-                     np.full(4, s))
+    tet = _tetrahedron()
     u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     assert 0.0 < abs(u @ tet.normals[0]) <= 1e-12
     n0, c0 = tet.normals[0], tet.offsets[0]

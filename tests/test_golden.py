@@ -163,7 +163,7 @@ def test_golden_bytes(name, argv, exit_code, sha, tmp_path, monkeypatch):
 # n barely cross one.  Block 1 puts a boundary between every two rows (run on
 # the line files, whose draws are short); block 37 is odd, so a gaussian pair
 # straddles a boundary again and again, and the kernels, the tetrahedron's
-# matrix products among them, see blocks of 37 to 73 rows.
+# fixed-order sums among them, see blocks of 37 rows and a shorter last one.
 BLOCK_CASES = [(g, 1) for g in GOLDEN if int(g[1][g[1].index("--n") + 1]) <= 200] \
     + [(g, 37) for g in GOLDEN]
 

@@ -5,6 +5,7 @@ constants, so a wrong closed form in the library cannot cancel against a
 wrong expectation in the tests.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import scipy.special
 from fiberline.bundle import (
     BundlePoint,
     foot_tilt_density,
+    sample_disk,
     sample_isotropic,
     tilt_density,
     uniform_density,
@@ -249,6 +251,69 @@ def test_bertrand_single_flip():
 def test_bertrand_indicators_are_binary():
     ind = bertrand_indicators(make_rng(15), "midpoint", 1000)
     assert set(np.unique(ind)) <= {0.0, 1.0}
+
+
+class _Words:
+    """A stream that hands out the given uniforms, in order."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def uniforms(self, k):
+        assert k <= len(self.words)
+        out, self.words = self.words[:k], self.words[k:]
+        return np.array(out, dtype=np.float64)
+
+
+_ULP = 2.0**-53  # the uniforms' grid step
+_THIRD = math.floor(2**53 / 3) * _ULP  # the last grid point below 1/3
+
+
+@pytest.mark.parametrize("method,words,hits", [
+    # (u1, u2) pairs; the event is 1/3 < |u1 - u2| < 2/3
+    ("endpoints", [2 / 3, 0.0, 0.0, 2 / 3, 2 / 3 + _ULP, 0.0,
+                   _THIRD, 0.0, _THIRD + _ULP, 0.0, 0.9, 0.9 - _THIRD - _ULP],
+     [1, 1, 0, 0, 1, 1]),
+    # (direction, distance) pairs; the event is distance < 1/2
+    ("radial", [0.7, 0.5 - _ULP, 0.7, 0.5], [1, 0]),
+    # (x, y) words of the disk point 2u - 1; the event is |m|^2 < 1/4
+    ("midpoint", [0.75 - _ULP, 0.5, 0.75, 0.5, 0.5, 0.25], [1, 0, 0]),
+    # (direction, offset) pairs; the event is |2 u - 1| < 1/2
+    ("line-measure", [0.1, 0.25, 0.1, 0.25 + _ULP, 0.1, 0.75 - _ULP,
+                      0.1, 0.75], [0, 1, 1, 0]),
+])
+def test_bertrand_events_at_grid_edges(method, words, hits):
+    # fl(2/3) lies on the grid just below 2/3, so it hits; the next point up
+    # misses, as do exactly 1/2 and 1/4 (a chord of exactly sqrt(3))
+    assert Fraction(2 / 3) < Fraction(2, 3) < Fraction(2 / 3 + _ULP)
+    assert Fraction(_THIRD) < Fraction(1, 3) < Fraction(_THIRD + _ULP)
+    stream = _Words(*words)
+    got = bertrand_indicators(stream, method, len(hits))
+    assert got.tolist() == hits and stream.words == []
+
+
+def _bertrand_chords(method, rng, n):
+    """The chord lengths of n draws of one construction, as the sampler once
+    computed them, on the words it reads from ``rng``."""
+    if method == "midpoint":
+        mid = sample_disk(rng, 1.0, n)
+        return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - np.sum(mid * mid, axis=1)))
+    u = rng.uniforms(2 * n)
+    if method == "endpoints":
+        t1, t2 = 2.0 * np.pi * u[0::2], 2.0 * np.pi * u[1::2]
+        return 2.0 * np.abs(np.sin(0.5 * (t1 - t2)))
+    d = u[1::2] if method == "radial" else 2.0 * u[1::2] - 1.0
+    return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - d * d))
+
+
+@pytest.mark.parametrize("method", BERTRAND_METHODS)
+def test_bertrand_events_match_chord_lengths(method):
+    # 10^7 draws, in blocks of 10^6, against chord > sqrt(3) on the same words
+    events, reference = make_rng(16), make_rng(16)
+    for _ in range(10):
+        got = bertrand_indicators(events, method, 1_000_000)
+        want = _bertrand_chords(method, reference, 1_000_000) > math.sqrt(3.0)
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
