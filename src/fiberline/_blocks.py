@@ -1,11 +1,11 @@
-"""Fixed-size row blocks for the row-wise stages of the sampling pipeline.
+"""Fixed-size row blocks and the one row dot product of the row-wise stages.
 
 Each row of a draw, a frame, a line check or a chord depends on that row
-alone, and no stage calls BLAS, so slices of any size give the same bytes.
-Working one block at a time keeps every temporary in cache: a whole-n
-temporary costs more in page faults than in arithmetic.  ``_BLOCK`` is read
-at every call, so tests can shrink it to show that results do not depend
-on it.
+alone, and no stage calls BLAS (``dot`` sums in a fixed order), so slices of
+any size give the same bytes.  Working one block at a time keeps every
+temporary in cache: a whole-n temporary costs more in page faults than in
+arithmetic.  ``_BLOCK`` is read at every call, so tests can shrink it to
+show that results do not depend on it.
 """
 from __future__ import annotations
 
@@ -27,3 +27,14 @@ def blocked_max(n: int, f: Callable[[slice], np.ndarray]) -> float:
     """Largest value of the per-row array ``f(s)`` over range(n), one block
     ``s`` at a time: nan if any value is nan, 0.0 when n is 0."""
     return float(np.max([np.max(f(s)) for s in blocks(n)], initial=0.0))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., 0] b[..., 0] + a[..., 1] b[..., 1] + ..., added left to right
+    and broadcast over the leading axes, with no BLAS call.  For 2 to 4
+    columns these are the bits of ``np.sum(a * b, axis=-1)``, except that
+    numpy turns a sum of negative zeros into +0.0."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out

@@ -24,11 +24,11 @@ from typing import Callable
 import numpy as np
 
 from . import haar
-from ._blocks import blocks
+from ._blocks import blocked_max, blocks, dot
 from .errors import NonFinite
 from .haar import _batch, _cube_rejection, _rejection, quat_to_rotation, \
     sample_rotation, sample_sphere2, tangent_from_ball
-from .linespace import DirectedLine, _unit_and_length
+from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
 __all__ = [
@@ -48,13 +48,12 @@ __all__ = [
     "foot_tilt_density",
 ]
 
-_ORTHO_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class BundlePoint:
     """Frame(s) g of shape (3, 3) or (n, 3, 3) with offset(s) r of matching
-    shape (2,) or (n, 2).  g must be a rotation to 1e-10."""
+    shape (2,) or (n, 2).  g must be a rotation to 1e-12, as DirectedLine
+    checks a direction, so that every point projects to a valid line."""
 
     g: np.ndarray
     r: np.ndarray
@@ -68,12 +67,7 @@ class BundlePoint:
             raise ValueError("r must have shape (2,) or (n, 2) matching g")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(r))):
             raise ValueError("bundle coordinates must be finite")
-        gtg = np.swapaxes(g, -1, -2) @ g
-        eye = np.eye(3)
-        if not np.all(np.abs(gtg - eye) <= _ORTHO_TOL):
-            raise ValueError("g is not orthogonal to 1e-10")
-        if not np.all(np.abs(np.linalg.det(g) - 1.0) <= _ORTHO_TOL):
-            raise ValueError("g must have determinant +1")
+        _check_frames(g.reshape(-1, 3, 3))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "r", r)
 
@@ -106,6 +100,23 @@ class LineDensity:
             raise ValueError("bound must be positive and finite")
         if not (np.isfinite(self.disk_radius) and self.disk_radius > 0.0):
             raise ValueError("disk_radius must be positive and finite")
+
+
+def _check_frames(g: np.ndarray) -> None:
+    """BundlePoint's check of (n, 3, 3) frames, one block at a time: each
+    column c_i passes DirectedLine's unit check and |c_i . c_j| <= 1e-12,
+    so det g = (c_0 x c_1) . c_2 is +-1 to 1e-11 and must be positive."""
+    def off(s):
+        c = [g[s, :, i] for i in range(3)]
+        return np.maximum.reduce([np.abs(np.sqrt(dot(a, a)) - 1.0) for a in c]
+                                 + [np.abs(dot(c[i - 1], c[i])) for i in range(3)])
+
+    worst = blocked_max(len(g), off)
+    if not worst <= _UNIT_TOL:
+        raise ValueError(f"g is not orthonormal to 1e-12 (off by {worst:.3e})")
+    if blocked_max(len(g), lambda s: dot(np.cross(g[s, :, 0], g[s, :, 1]),
+                                         g[s, :, 2]) <= 0.0):
+        raise ValueError("g must have determinant +1")
 
 
 def _spin(h, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,7 +252,7 @@ def sample_cosine_surface(
     cos_a = np.sqrt(rng.uniforms(m))
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
     u = cos_a[:, None] * normal_in + sin_a[:, None] * tang
-    foot = surf - np.sum(surf * u, axis=1, keepdims=True) * u
+    foot = surf - dot(surf, u)[:, None] * u
     if single:
         return DirectedLine(u[0], foot[0])
     return DirectedLine(u, foot)
@@ -302,7 +313,7 @@ def tilt_density(kappa: float, axis=(0.0, 0.0, 1.0),
 
     def f(g, r):
         u = g[..., :, 2]
-        return np.exp(kappa * (u @ a - 1.0))
+        return np.exp(kappa * (dot(u, a) - 1.0))
 
     return LineDensity(f, bound, disk_radius)
 
@@ -315,7 +326,7 @@ def radial_density(sigma: float, disk_radius: float = 1.0) -> LineDensity:
         raise ValueError("sigma must be positive")
 
     def f(g, r):
-        return np.exp(-np.sum(r * r, axis=-1) / (2.0 * sigma * sigma))
+        return np.exp(-dot(r, r) / (2.0 * sigma * sigma))
 
     return LineDensity(f, 1.0, disk_radius)
 
@@ -349,6 +360,6 @@ def foot_tilt_density(beta: float, axis=(0.0, 0.0, 1.0),
 
     def f(g, r):
         _, foot = _project_arrays(g, r)
-        return np.exp(beta * (foot @ a - disk_radius))
+        return np.exp(beta * (dot(foot, a) - disk_radius))
 
     return LineDensity(f, 1.0, disk_radius)

@@ -13,8 +13,8 @@ sampler error (error name on standard error).
 ``--threads k`` (every subcommand but gauge-audit) shards n across k sibling
 random streams (ids 1..k), taken in stream order, so output depends on the
 flag value but not on scheduling; at most ``os.cpu_count()`` worker threads
-run the shards.  ``sample`` and ``bundle`` write the shards' lines in
-stream order, block by block, without joining them first.
+run the shards, and k is at most 1024.  ``sample`` and ``bundle`` write the
+shards' lines in stream order, block by block, without joining them first.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._blocks import dot
 from .bundle import (
     LineDensity,
     foot_tilt_density,
@@ -67,6 +68,7 @@ from .geometry import chord as body_chord
 __all__ = ["main"]
 
 _ESTIMATORS = ("foot-axis", "chord-ball", "direction-axis2")
+_MAX_THREADS = 1024  # each shard costs a fixed ~1 ms, so more only add time
 
 
 def _timestamp() -> str:
@@ -107,8 +109,8 @@ def _manifest(argv: list[str], seed: int, n: int, extra: dict | None = None) -> 
 
 def _run_shards(seed: int, threads: int, n: int, fn) -> list:
     """fn(stream, count) for each shard; results in stream-id order."""
-    if threads < 1:
-        raise ValueError("--threads must be at least 1")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"--threads must be between 1 and {_MAX_THREADS}")
     k = max(1, min(int(threads), int(n))) if n > 0 else 1
     base, extra = divmod(n, k)
     sizes = [base + (1 if i < extra else 0) for i in range(k)]
@@ -315,11 +317,11 @@ def _cmd_haar_test(args, argv: list[str]) -> dict:
 def _estimator_of(args):
     axis, _ = _unit_and_length(_floats(args.axis, 3, "--axis"), "axis")
     if args.estimator == "foot-axis":
-        return lambda lines: lines.foot @ axis
+        return lambda lines: dot(lines.foot, axis)
     if args.estimator == "chord-ball":
         ball = Ball((0.0, 0.0, 0.0), 1.0)
         return lambda lines: body_chord(ball, lines)
-    return lambda lines: (lines.u @ axis) ** 2
+    return lambda lines: dot(lines.u, axis) ** 2
 
 
 def _cmd_gauge_audit(args, argv: list[str]) -> dict:
@@ -365,7 +367,8 @@ def _add_common(p: argparse.ArgumentParser, n_default: int,
                    help="random seed (default: $FIBERLINE_SEED or 0)")
     if threads:
         p.add_argument("--threads", type=int, default=1,
-                       help="shard across this many split streams")
+                       help="shard across this many split streams "
+                            f"(1 to {_MAX_THREADS})")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 

@@ -5,8 +5,8 @@ intersections of halfspaces.  ``chord`` returns the length of the
 intersection of a line with the body (0 for a miss; tangency counts as a
 miss).  Boxes and halfspace bodies share one slab-clipping kernel, ``_clip``
 (Kay & Kajiya 1986; Cyrus & Beck 1978): a box is three two-sided slabs, a
-halfspace body one one-sided slab per face, its sums in a fixed order with
-no BLAS call, so chords do not depend on the BLAS build or the batch size.
+halfspace body one one-sided slab per face, its dot products from
+``_blocks.dot``, so chords do not depend on the BLAS build or the batch size.
 Volume, surface area and bounding radius are exact for every body: closed
 forms for balls and boxes, the vertices of the polytope for halfspaces.
 """
@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from ._blocks import blocks
+from ._blocks import blocks, dot
 from .errors import Unbounded
 from .linespace import DirectedLine, _unit_and_length
 
@@ -98,7 +98,7 @@ class Halfspaces:
             raise ValueError("need at least one halfspace")
         if not (np.all(np.isfinite(nrm)) and np.all(np.isfinite(off))):
             raise ValueError("halfspace data must be finite")
-        lens = np.sqrt(np.sum(nrm * nrm, axis=1))
+        lens = np.sqrt(dot(nrm, nrm))
         if np.any(np.abs(lens - 1.0) > 1e-9):
             raise ValueError("normals must be unit vectors")
         nrm = nrm / lens[:, None]
@@ -124,8 +124,8 @@ def _polytope_vertices(nrm: np.ndarray, off: np.ndarray) -> np.ndarray:
                  bounds=[(None, None)] * 3 + [(0.0, None)])
     if lp.status == 0:
         centre = lp.x[:3]
-        depth = float(np.min(off - nrm @ centre))
-    if lp.status != 0 or depth <= _DEPTH_TOL * (np.linalg.norm(centre) + depth):
+        depth = float(np.min(off - dot(nrm, centre)))
+    if lp.status != 0 or depth <= _DEPTH_TOL * (np.sqrt(dot(centre, centre)) + depth):
         raise ValueError("halfspace intersection has an empty interior")
     return HalfspaceIntersection(np.c_[nrm, -off], centre).intersections
 
@@ -142,8 +142,8 @@ def _line_arrays(dl: DirectedLine) -> tuple[np.ndarray, np.ndarray, bool]:
 def _chord_ball(body: Ball, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     # |f + t u - c|^2 = r^2; with |u| = 1 the roots differ by 2 sqrt(disc)
     w = f - body.center
-    b = np.sum(w * u, axis=1)
-    c = np.sum(w * w, axis=1) - body.radius**2
+    b = dot(w, u)
+    c = dot(w, w) - body.radius**2
     disc = b * b - c
     out = np.zeros(u.shape[0], dtype=np.float64)
     hit = disc > _DISC_TOL  # tangency counts as a miss
@@ -178,9 +178,9 @@ def chord(body: ConvexBody, dl: DirectedLine) -> np.ndarray:
         kernel = lambda u, f: _clip(u, f, body.lo, body.hi)
     elif isinstance(body, Halfspaces):
         # one one-sided slab per face: n . (f + t u) <= c
-        n0, n1, n2 = np.hsplit(body.normals, 3)
-        dot = lambda v: (n0 * v[:, 0] + n1 * v[:, 1] + n2 * v[:, 2]).T
-        kernel = lambda u, f: _clip(dot(u), dot(f), -np.inf, body.offsets)
+        nrm = body.normals[:, None]
+        kernel = lambda u, f: _clip(dot(nrm, u).T, dot(nrm, f).T, -np.inf,
+                                    body.offsets)
     else:
         raise TypeError(f"not a convex body: {type(body).__name__}")
     out = np.empty(len(u), dtype=np.float64)
@@ -224,7 +224,7 @@ def bounding_radius(body: ConvexBody) -> float:
     if isinstance(body, Box):
         return math.hypot(*np.maximum(np.abs(body.lo), np.abs(body.hi)))
     if isinstance(body, Halfspaces):
-        return float(np.max(np.sqrt(np.sum(body.vertices**2, axis=1))))
+        return float(np.max(np.sqrt(dot(body.vertices, body.vertices))))
     raise TypeError(f"not a convex body: {type(body).__name__}")
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._blocks import blocked_max, blocks
+from ._blocks import blocked_max, blocks, dot
 from .errors import AntipodalViolation, BoundViolated, NonFinite, NotUnit, \
     PoleSingularity, RejectionStall
 from .randkit import RngStream
@@ -90,7 +90,7 @@ def _redraw(m: int, dim: int, draw: Callable,
 def _normalized(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep mask of the rows of v longer than _TINY_NORM, and those rows
     scaled to unit length."""
-    nrm = np.sqrt(np.sum(v * v, axis=1))
+    nrm = np.sqrt(dot(v, v))
     ok = nrm > _TINY_NORM
     return ok, v[ok] / nrm[ok, None]
 
@@ -133,7 +133,7 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     in [-1, 1)^dim, rows outside the ball redrawn."""
     def draw(rows):
         c = 2.0 * rng.uniforms(dim * rows.size).reshape(-1, dim) - 1.0
-        ok = np.sum(c * c, axis=1) <= 1.0
+        ok = dot(c, c) <= 1.0
         return ok, c[ok]
 
     return _redraw(m, dim, draw, sequential=True)
@@ -145,7 +145,7 @@ def _unit_norms(v: np.ndarray, what: str) -> np.ndarray:
     nrm = np.empty(len(v), dtype=np.float64)
 
     def dev(s):
-        nrm[s] = np.sqrt(np.sum(v[s] * v[s], axis=1))
+        nrm[s] = np.sqrt(dot(v[s], v[s]))
         return np.abs(nrm[s] - 1.0)
 
     worst = blocked_max(len(v), dev)
@@ -357,7 +357,7 @@ def naive_frame(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     c = np.stack([-u[..., 1], u[..., 0], np.zeros(u.shape[:-1])], axis=-1)
-    nrm = np.sqrt(np.sum(c * c, axis=-1))
+    nrm = np.sqrt(dot(c, c))
     if np.any(nrm <= _UNIT_TOL):
         raise PoleSingularity("direction too close to +-e_z for e_z x u frame")
     return c / nrm[..., None]
@@ -389,7 +389,7 @@ def tangent_from_ball(
     def draw(pending):
         b = sample_ball3(rng, pending.size)
         ub = us[pending]
-        return _normalized(b - np.sum(b * ub, axis=1)[:, None] * ub)
+        return _normalized(b - dot(b, ub)[:, None] * ub)
 
     out = _redraw(m, 3, draw)
     return out[0] if single else out
@@ -399,6 +399,5 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle in [0, pi] between vectors, elementwise over the leading axes."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    dot = np.sum(a * b, axis=-1)
-    denom = np.sqrt(np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1))
-    return np.arccos(np.clip(dot / denom, -1.0, 1.0))
+    return np.arccos(np.clip(dot(a, b) / np.sqrt(dot(a, a) * dot(b, b)),
+                             -1.0, 1.0))

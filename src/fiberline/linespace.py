@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._blocks import blocked_max, blocks
+from ._blocks import blocked_max, blocks, dot
 from .errors import HorizontalLine, NotUnit
 
 __all__ = [
@@ -78,24 +78,24 @@ def _check_rows(u: np.ndarray, foot: np.ndarray) -> None:
                for s in blocks(n)):
         raise ValueError("line coordinates must be finite")
     worst = blocked_max(
-        n, lambda s: np.abs(np.sqrt(np.sum(u[s] * u[s], axis=1)) - 1.0))
+        n, lambda s: np.abs(np.sqrt(dot(u[s], u[s])) - 1.0))
     if not worst <= _UNIT_TOL:
         raise NotUnit(f"direction norm off by {worst:.3e}")
 
-    def dot(s):
-        return np.abs(np.sum(u[s] * foot[s], axis=1))
+    def along(s):
+        return np.abs(dot(u[s], foot[s]))
 
     def off(s):
         # rounding in u and foot leaves |u . foot| up to ~5e-13 |foot| on far
         # feet; hypot rescales as it goes, so |foot| cannot overflow
         fb = foot[s]
         nrm = np.hypot(np.hypot(fb[:, 0], fb[:, 1]), fb[:, 2])
-        return ~(dot(s) <= np.maximum(_FOOT_TOL, _FOOT_REL_TOL * nrm))
+        return ~(along(s) <= np.maximum(_FOOT_TOL, _FOOT_REL_TOL * nrm))
 
     if blocked_max(n, off):
         raise ValueError(
             f"foot not orthogonal to direction (|u.foot| up to "
-            f"{blocked_max(n, dot):.3e})"
+            f"{blocked_max(n, along):.3e})"
         )
 
 
@@ -135,7 +135,7 @@ def _unit_and_length(v, what: str) -> tuple[np.ndarray, float]:
     if not np.isfinite(big) or big <= 0.0:
         raise ValueError(f"{what} must be a finite nonzero vector")
     v = v / big
-    nrm = float(np.sqrt(np.sum(v * v)))
+    nrm = float(np.sqrt(dot(v, v)))
     return v / nrm, big * nrm
 
 
@@ -150,7 +150,7 @@ def slope_to_directed(sl: SlopeLine) -> DirectedLine:
     s = np.sqrt(1.0 + a * a + b * b)
     u = np.stack([a / s, b / s, 1.0 / s], axis=-1)
     v = np.stack([p, q, np.zeros_like(p)], axis=-1)
-    foot = v - np.sum(v * u, axis=-1, keepdims=True) * u
+    foot = v - dot(v, u)[..., None] * u
     return DirectedLine(u, foot)
 
 

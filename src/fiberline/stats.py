@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._blocks import dot
 from .bundle import _project_arrays, _spin, _turn, LineDensity, \
     project_to_line, sample_bundle, sample_disk, sample_isotropic
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
@@ -302,7 +303,7 @@ def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
         raise ValueError("n must be positive")
     if method == "midpoint":
         mid = sample_disk(rng, 1.0, n)
-        return (np.sum(mid * mid, axis=1) < 0.25).astype(np.float64)
+        return (dot(mid, mid) < 0.25).astype(np.float64)
     u = rng.uniforms(2 * n)
     if method == "endpoints":
         d = np.abs(u[0::2] - u[1::2])

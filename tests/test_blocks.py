@@ -1,0 +1,83 @@
+"""The row dot product's contract, and no BLAS call outside bundle._spin."""
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import fiberline
+from fiberline._blocks import dot
+
+SRC = pathlib.Path(fiberline.__file__).resolve().parent
+# numpy names that reach BLAS or LAPACK, as attributes or imported names
+_BLAS_NAMES = {"linalg", "dot", "matmul", "inner", "einsum"}
+
+
+def _rows(rng, k, n=100_000):
+    # signed magnitudes from 1e-8 to 1e8
+    return rng.choice([-1.0, 1.0], (n, k)) * 10.0 ** rng.uniform(-8, 8, (n, k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dot_is_numpys_row_sum(k):
+    rng = np.random.default_rng(k)
+    a, b = _rows(rng, k), _rows(rng, k)
+    want = np.sum(a * b, axis=-1)
+    assert np.array_equal(dot(a, b).view(np.int64), want.view(np.int64))
+
+
+def test_dot_broadcast_is_the_face_sum():
+    # (k, 1, 3) normals against (m, 3) rows: the (k, m) face products,
+    # summed per component in the same order as the written-out sum
+    rng = np.random.default_rng(5)
+    nrm, v = _rows(rng, 3, 7), _rows(rng, 3)
+    n0, n1, n2 = nrm[:, :1], nrm[:, 1:2], nrm[:, 2:]
+    want = n0 * v[:, 0] + n1 * v[:, 1] + n2 * v[:, 2]
+    got = dot(nrm[:, None], v)
+    assert got.shape == (7, len(v))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _blas_calls(source: str, allowed: str | None = None) -> list[int]:
+    """Line numbers of matrix products and numpy BLAS/LAPACK names in
+    ``source``, outside the function named ``allowed``."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            skip.update(id(n) for n in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("numpy") and \
+                ("linalg" in node.module or
+                 any(a.name in _BLAS_NAMES for a in node.names)):
+            found.append(node.lineno)
+    return found
+
+
+def test_blas_guard_sees_every_form():
+    for line in ("c = a @ b", "a @= b", "c = np.linalg.det(a)",
+                 "c = np.dot(a, b)", "c = a.dot(b)", "c = np.einsum('i,i', a, b)",
+                 "from numpy.linalg import norm", "from numpy import inner"):
+        assert _blas_calls(line) == [1], line
+    assert _blas_calls("def _spin(g, rz):\n    return g @ rz\n", "_spin") == []
+
+
+def test_only_spin_calls_blas():
+    # a per-row stage with a BLAS call rounds by the BLAS build; bundle._spin's
+    # frame product is the one left
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        allowed = "_spin" if path.name == "bundle.py" else None
+        lines = _blas_calls(path.read_text(), allowed)
+        if lines:
+            found[path.name] = lines
+    assert found == {}

@@ -116,6 +116,21 @@ def test_bundle_point_validation():
         BundlePoint(np.eye(3), np.array([np.nan, 0.0]))
 
 
+def test_frame_check_is_the_line_check():
+    # a column 4e-11 too long would pass a frame check at 1e-10 and then
+    # fail as a line's direction, so frames are checked at the line's 1e-12
+    r = np.array([0.3, 0.4])
+    with pytest.raises(ValueError, match="orthonormal"):
+        BundlePoint(np.diag([1.0, 1.0, 1.0 + 4e-11]), r)
+    g = np.stack([np.eye(3)] * 3)
+    g[1, :, 0] = [1.0, 4e-11, 0.0]  # first column tilted toward the second
+    with pytest.raises(ValueError, match="orthonormal"):
+        BundlePoint(g, np.zeros((3, 2)))
+    dl = project_to_line(BundlePoint(np.diag([1.0, 1.0, 1.0 + 5e-13]), r))
+    assert dl.u[2] == 1.0 + 5e-13
+    assert np.array_equal(dl.foot, [0.3, 0.4, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # samplers
 

@@ -116,6 +116,15 @@ def test_threads_deterministic(capsys):
     assert out1 == out2
 
 
+def test_threads_bounded(capsys):
+    # every shard adds a fixed cost, so k stops at 1024; 1024 still runs
+    args = ["bertrand", "--method", "midpoint", "--n", "2000", "--threads"]
+    code, out, err = _run(capsys, args + ["1025"])
+    assert code == 2 and not out and "--threads" in err
+    code, out, _ = _run(capsys, args + ["1024"])
+    assert code == 0 and json.loads(out)["n"] == 2000
+
+
 def test_threads_pool_bounded_by_cpu_count(capsys, monkeypatch):
     # 64 shards, but no more worker threads than the machine has CPUs
     args = ["sample", "--n", "64", "--seed", "5", "--threads", "64"]

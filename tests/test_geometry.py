@@ -192,17 +192,26 @@ def test_slanted_halfspace_chords_do_not_depend_on_block(monkeypatch):
 def test_halfspace_chords_do_not_depend_on_blas_kernel():
     # OpenBLAS picks its kernels by OPENBLAS_CORETYPE, set here in each
     # child's environment only: Prescott's have no FMA, Haswell's do.  The
-    # chords use no BLAS product, so all three runs hash alike.
+    # chords, the densities and the estimators use no BLAS product, so all
+    # three runs hash alike.
     tet = _tetrahedron()
     child = (
-        "import hashlib, numpy as np\n"
-        "from fiberline.bundle import sample_isotropic\n"
+        "import argparse, hashlib, numpy as np\n"
+        "from fiberline.bundle import foot_tilt_density, project_to_line, "
+        "sample_bundle, sample_isotropic, tilt_density, uniform_density\n"
+        "from fiberline.cli import _estimator_of\n"
         "from fiberline.geometry import Halfspaces, chord\n"
         "from fiberline.randkit import make_rng\n"
+        "sha = lambda a: hashlib.sha256(a.tobytes()).hexdigest()\n"
         f"tet = Halfspaces({tet.normals.tolist()!r}, {tet.offsets.tolist()!r})\n"
         "lines = sample_isotropic(make_rng(1), 1.8, 200000)\n"
-        "print(hashlib.sha256(lines.u.tobytes() + lines.foot.tobytes())"
-        ".hexdigest(), hashlib.sha256(chord(tet, lines).tobytes()).hexdigest())\n"
+        "pts = sample_bundle(make_rng(1), uniform_density(), 100000)\n"
+        "foot_axis = _estimator_of(argparse.Namespace("
+        "estimator='foot-axis', axis='1,-2,0.5'))\n"
+        "print(sha(np.concatenate([lines.u, lines.foot])), sha(chord(tet, lines)),"
+        " sha(tilt_density(2, axis=(1, 2, 3)).f(pts.g, pts.r)),"
+        " sha(foot_tilt_density(4, axis=(1, -2, 0.5)).f(pts.g, pts.r)),"
+        " sha(foot_axis(project_to_line(pts))))\n"
     )
     src = os.path.dirname(os.path.dirname(fiberline.__file__))
     digests = {}
