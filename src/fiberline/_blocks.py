@@ -1,11 +1,12 @@
 """Fixed-size row blocks and the one row dot product of the row-wise stages.
 
 Each row of a draw, a frame, a line check or a chord depends on that row
-alone, and no stage calls BLAS (``dot`` sums in a fixed order), so slices of
-any size give the same bytes.  Working one block at a time keeps every
-temporary in cache: a whole-n temporary costs more in page faults than in
-arithmetic.  ``_BLOCK`` is read at every call, so tests can shrink it to
-show that results do not depend on it.
+alone, and ``dot`` sums in a fixed order, so slices of any size give the
+same bytes.  numpy takes the one BLAS product left, ``bundle._spin``'s
+``g @ rz``, one 3x3 pair at a time, so slicing does not move it either.
+Working one block at a time keeps every temporary in cache: a whole-n
+temporary costs more in page faults than in arithmetic.  ``_BLOCK`` is read
+at every call, so tests can shrink it to show results do not depend on it.
 """
 from __future__ import annotations
 

@@ -27,7 +27,7 @@ from . import haar
 from ._blocks import blocked_max, blocks, dot
 from .errors import NonFinite
 from .haar import _batch, _cube_rejection, _rejection, quat_to_rotation, \
-    sample_rotation, sample_sphere2, tangent_from_ball
+    sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -83,10 +83,10 @@ class BundlePoint:
 class LineDensity:
     """Unnormalized density on bundle points.
 
-    ``f(g, r)`` must be vectorized over a leading batch axis, take values in
-    [0, bound], and depend on (g, r) only through the projected line if you
-    want estimates on lines to be meaningful.  ``disk_radius`` is the radius
-    of the offset disk proposals are drawn from.
+    ``f(g, r)`` maps one block of proposals (a leading batch axis) to values
+    in [0, bound], each from its own row alone, and should depend on (g, r)
+    only through the projected line for estimates on lines to be meaningful.
+    ``disk_radius`` is the radius of the offset disk proposals are drawn from.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -123,16 +123,11 @@ def _spin(h, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame(s) g Rz(h) with cos h and sin h; h is a scalar or (n,) array."""
     h = np.asarray(h, dtype=np.float64)
     ch, sh = np.cos(h), np.sin(h)
-    zeros = np.zeros_like(ch)
-    ones = np.ones_like(ch)
-    rz = np.stack(
-        [
-            np.stack([ch, -sh, zeros], axis=-1),
-            np.stack([sh, ch, zeros], axis=-1),
-            np.stack([zeros, zeros, ones], axis=-1),
-        ],
-        axis=-2,
-    )
+    rz = np.zeros(h.shape + (3, 3))
+    rz[..., 0, 0] = rz[..., 1, 1] = ch
+    rz[..., 0, 1] = -sh
+    rz[..., 1, 0] = sh
+    rz[..., 2, 2] = 1.0
     return g @ rz, ch, sh
 
 
@@ -218,18 +213,23 @@ def sample_bundle(
 
     Plain rejection: propose (frame, disk offset), keep with probability
     f/bound; the proposals and acceptances are added to ``rng.proposals``
-    and ``rng.accepted``.  Raises BoundViolated if f exceeds the bound beyond
-    roundoff, NonFinite on NaN/inf densities, RejectionStall when fewer than
-    a 1e-6 fraction of at least ``stall_proposals`` candidates were kept.
+    and ``rng.accepted``.  Frames are proposed as haar.sample_sphere3
+    quaternions (looked up at call time) and built one block at a time.
+    Raises BoundViolated if f exceeds the bound beyond roundoff, NonFinite on
+    NaN/inf densities, RejectionStall when fewer than a 1e-6 fraction of at
+    least ``stall_proposals`` candidates were kept.
     """
     m, single = _batch(n)
-    g_out = np.empty((m, 3, 3), dtype=np.float64)
+    q_out = np.empty((m, 4), dtype=np.float64)
     r_out = np.empty((m, 2), dtype=np.float64)
-    _rejection(
-        rng,
-        lambda k: (sample_rotation(rng, k), sample_disk(rng, density.disk_radius, k)),
-        density.f, density.bound, (g_out, r_out), stall_proposals,
-    )
+    _rejection(rng, lambda k: (haar.sample_sphere3(rng, k),
+                               sample_disk(rng, density.disk_radius, k)),
+               lambda q, r: density.f(quat_to_rotation(q), r),
+               density.bound, (q_out, r_out), stall_proposals)
+    g_out = np.empty((m, 3, 3), dtype=np.float64)
+    # per block, like the proposals: no whole-m temporaries beside the frames
+    for s in blocks(m):
+        g_out[s] = quat_to_rotation(q_out[s])
     return BundlePoint(g_out[0], r_out[0]) if single else BundlePoint(g_out, r_out)
 
 

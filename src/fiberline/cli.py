@@ -52,6 +52,7 @@ from .haar import quat_to_rotation, rotation_angle, rotation_angle_cdf, \
 from .linespace import _unit_and_length, write_lines
 from .randkit import make_rng, split
 from .stats import (
+    BERTRAND_METHODS,
     Estimate,
     bertrand_indicators,
     bertrand_oracle,
@@ -402,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bertrand", help="chord-paradox experiment")
     _add_common(p, 1_000_000)
-    p.add_argument("--method", required=True,
-                   choices=("endpoints", "radial", "midpoint", "line-measure"))
+    p.add_argument("--method", required=True, choices=BERTRAND_METHODS)
 
     p = sub.add_parser("chord", help="hit rate and mean chord of a body")
     _add_common(p, 1_000_000)

@@ -152,15 +152,15 @@ def _chord_ball(body: Ball, u: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _clip(d: np.ndarray, p: np.ndarray, lo, hi) -> np.ndarray:
-    # column j keeps lo_j <= p_j + t d_j <= hi_j; |d_j| <= tol is parallel:
-    # it bounds no t, and the row misses unless lo_j <= p_j <= hi_j
+    # constraint row i keeps lo_i <= p_i + t d_i <= hi_i in each line's column;
+    # |d_i| <= tol is parallel: no bound on t, a miss unless lo_i <= p_i <= hi_i
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - p) / d
         t2 = (hi - p) / d
     para = np.abs(d) <= _PARALLEL_TOL
-    enter = np.max(np.where(para, -np.inf, np.minimum(t1, t2)), axis=1)
-    leave = np.min(np.where(para, np.inf, np.maximum(t1, t2)), axis=1)
-    ok = (leave > enter) & ~np.any(para & ((p < lo) | (p > hi)), axis=1)
+    enter = np.max(np.where(para, -np.inf, np.minimum(t1, t2)), axis=0)
+    leave = np.min(np.where(para, np.inf, np.maximum(t1, t2)), axis=0)
+    ok = (leave > enter) & ~np.any(para & ((p < lo) | (p > hi)), axis=0)
     return np.where(ok, leave - enter, 0.0)
 
 
@@ -174,13 +174,13 @@ def chord(body: ConvexBody, dl: DirectedLine) -> np.ndarray:
     if isinstance(body, Ball):
         kernel = lambda u, f: _chord_ball(body, u, f)
     elif isinstance(body, Box):
-        # three two-sided slabs, one per axis
-        kernel = lambda u, f: _clip(u, f, body.lo, body.hi)
+        # three two-sided slabs, one per axis, on contiguous (3, m) copies
+        lo, hi = body.lo[:, None], body.hi[:, None]
+        kernel = lambda u, f: _clip(*np.array([u.T, f.T]), lo, hi)
     elif isinstance(body, Halfspaces):
         # one one-sided slab per face: n . (f + t u) <= c
-        nrm = body.normals[:, None]
-        kernel = lambda u, f: _clip(dot(nrm, u).T, dot(nrm, f).T, -np.inf,
-                                    body.offsets)
+        nrm, c = body.normals[:, None], body.offsets[:, None]
+        kernel = lambda u, f: _clip(dot(nrm, u), dot(nrm, f), -np.inf, c)
     else:
         raise TypeError(f"not a convex body: {type(body).__name__}")
     out = np.empty(len(u), dtype=np.float64)

@@ -265,8 +265,8 @@ def sample_s3_density(
     Parameters
     ----------
     f : callable
-        Vectorized density factor: maps (m, 4) quaternions to (m,) values in
-        [0, bound].  Need not be normalized.
+        Density factor: maps a block of (m, 4) quaternions to (m,) values in
+        [0, bound], each from its own row alone.  Need not be normalized.
     bound : float
         Rejection bound M; proposals are kept with probability f(q)/M, and
         counted on ``rng.proposals`` and ``rng.accepted``.
@@ -306,12 +306,12 @@ def _rejection(
 ) -> None:
     """Fill ``outs``, arrays sharing a leading axis of length m, by rejection.
 
-    ``propose(k)`` returns one k-row array per output; ``f`` maps them to k
-    density values in [0, bound], and a proposal is kept when a uniform times
-    ``bound`` falls below its value.  Each round adds its proposals and
-    acceptances to ``rng.proposals`` and ``rng.accepted``.  Raises ValueError
-    on a misshapen density, NonFinite, BoundViolated and RejectionStall as
-    documented on :func:`sample_s3_density`.
+    ``propose(k)`` returns one k-row array per output; ``f`` maps each block
+    of their rows to density values in [0, bound], and a proposal is kept
+    when a uniform times ``bound`` falls below its value.  Each round adds
+    its proposals and acceptances to ``rng.proposals`` and ``rng.accepted``.
+    Raises ValueError on a misshapen density, NonFinite, BoundViolated and
+    RejectionStall as documented on :func:`sample_s3_density`.
     """
     m = outs[0].shape[0]
     got = 0
@@ -321,12 +321,15 @@ def _rejection(
         want = m - got
         k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
         props = propose(k)
+        val = np.empty(k, dtype=np.float64)
         # a density that underflows to exp(-inf) = 0 is exact, not an error;
         # +inf and NaN still fail the checks below
         with np.errstate(over="ignore", divide="ignore"):
-            val = np.asarray(f(*props), dtype=np.float64)
-        if val.shape != (k,):
-            raise ValueError("density must return one value per proposal")
+            for s in blocks(k):
+                v = np.asarray(f(*(p[s] for p in props)), dtype=np.float64)
+                if v.shape != (s.stop - s.start,):
+                    raise ValueError("density must return one value per proposal")
+                val[s] = v
         if not np.all(np.isfinite(val)):
             raise NonFinite("density returned NaN or infinity")
         if np.any(val > bound * (1.0 + 1e-9)) or np.any(val < 0.0):

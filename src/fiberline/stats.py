@@ -269,19 +269,15 @@ def ball_chord_cdf(x: np.ndarray, radius: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # chord-paradox constructions on the unit circle
 
-BERTRAND_METHODS = ("endpoints", "radial", "midpoint", "line-measure")
+_BERTRAND_ORACLE = {"endpoints": 1.0 / 3.0, "radial": 0.5, "midpoint": 0.25,
+                    "line-measure": 0.5}
+BERTRAND_METHODS = tuple(_BERTRAND_ORACLE)
 
 
 def bertrand_oracle(method: str) -> float:
     """Exact P(chord > sqrt(3)) for each construction on the unit circle."""
-    table = {
-        "endpoints": 1.0 / 3.0,
-        "radial": 0.5,
-        "midpoint": 0.25,
-        "line-measure": 0.5,
-    }
     try:
-        return table[method]
+        return _BERTRAND_ORACLE[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; "
                          f"choose from {BERTRAND_METHODS}") from None

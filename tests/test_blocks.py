@@ -1,4 +1,5 @@
-"""The row dot product's contract, and no BLAS call outside bundle._spin."""
+"""The row dot product's contract, no BLAS call outside bundle._spin, and
+no reduction along rows outside linespace.lines_equal."""
 import ast
 import pathlib
 
@@ -11,6 +12,8 @@ from fiberline._blocks import dot
 SRC = pathlib.Path(fiberline.__file__).resolve().parent
 # numpy names that reach BLAS or LAPACK, as attributes or imported names
 _BLAS_NAMES = {"linalg", "dot", "matmul", "inner", "einsum"}
+# reductions that must run down columns, (constraints, lines), not along rows
+_REDUCTIONS = {"max", "min", "amax", "amin", "any", "all", "sum"}
 
 
 def _rows(rng, k, n=100_000):
@@ -38,18 +41,21 @@ def test_dot_broadcast_is_the_face_sum():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _blas_calls(source: str, allowed: str | None = None) -> list[int]:
-    """Line numbers of matrix products and numpy BLAS/LAPACK names in
-    ``source``, outside the function named ``allowed``."""
+def _nodes(source: str, allowed: str | None) -> list[ast.AST]:
+    """The syntax nodes of ``source`` outside the function named ``allowed``."""
     tree = ast.parse(source)
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == allowed:
             skip.update(id(n) for n in ast.walk(node))
+    return [node for node in ast.walk(tree) if id(node) not in skip]
+
+
+def _blas_calls(source: str, allowed: str | None = None) -> list[int]:
+    """Line numbers of matrix products and numpy BLAS/LAPACK names in
+    ``source``, outside the function named ``allowed``."""
     found = []
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
+    for node in _nodes(source, allowed):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
                 isinstance(node.op, ast.MatMult):
             found.append(node.lineno)
@@ -78,6 +84,51 @@ def test_only_spin_calls_blas():
     for path in sorted(SRC.glob("*.py")):
         allowed = "_spin" if path.name == "bundle.py" else None
         lines = _blas_calls(path.read_text(), allowed)
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def _row_reductions(source: str, allowed: str | None = None) -> list[int]:
+    """Line numbers of max/min/amax/amin/any/all/sum calls with axis=1 or
+    axis=-1 in ``source``, outside the function named ``allowed``."""
+    found = []
+    for node in _nodes(source, allowed):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _REDUCTIONS:
+            for kw in node.keywords:
+                if kw.arg == "axis" and _literal(kw.value) in (1, -1):
+                    found.append(node.lineno)
+    return found
+
+
+def _literal(node: ast.AST):
+    """The value of a literal expression such as ``-1``, else None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_row_reduction_guard_sees_every_form():
+    for name in sorted(_REDUCTIONS):
+        for axis in ("1", "-1"):
+            line = f"c = np.{name}(a, axis={axis})"
+            assert _row_reductions(line) == [1], line
+        assert _row_reductions(f"c = np.{name}(a, axis=0)") == []
+    assert _row_reductions("c = np.max(a, axis=k)") == []
+    assert _row_reductions("c = a.max(axis=-1)") == [1]
+    assert _row_reductions("def lines_equal(a):\n    return np.max(a, axis=-1)\n",
+                           "lines_equal") == []
+
+
+def test_reductions_run_down_columns():
+    # _clip's kernel reads (constraints, lines) arrays, whose reductions run
+    # over axis 0; linespace.lines_equal compares whole rows on purpose
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        allowed = "lines_equal" if path.name == "linespace.py" else None
+        lines = _row_reductions(path.read_text(), allowed)
         if lines:
             found[path.name] = lines
     assert found == {}

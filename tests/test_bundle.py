@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberline._blocks
+import fiberline.bundle
+import fiberline.haar
 from fiberline.bundle import (
     BundlePoint,
     LineDensity,
@@ -24,7 +27,7 @@ from fiberline.bundle import (
 )
 from fiberline.errors import BoundViolated, NonFinite, RejectionStall
 from fiberline.geometry import Ball, chord
-from fiberline.haar import sample_rotation, sample_s3_density
+from fiberline.haar import _rejection, sample_rotation, sample_s3_density
 from fiberline.linespace import DirectedLine
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
@@ -165,6 +168,57 @@ def test_isotropic_lines_build_no_whole_batch_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * (lines.u.nbytes + lines.foot.nbytes)
+
+
+@pytest.mark.parametrize("sampler", ["bundle", "s3"])
+def test_density_sees_one_block_at_a_time(sampler):
+    # a first round of 50 008 proposals reaches the density in blocks
+    rows, rng = [], make_rng(1)
+    if sampler == "bundle":
+        foot_tilt = foot_tilt_density(4.0)
+
+        def f(g, r):
+            rows.append(len(g))
+            return foot_tilt.f(g, r)
+
+        sample_bundle(rng, LineDensity(f, 1.0, 1.0), 50_000)
+    else:
+        def f(q):
+            rows.append(len(q))
+            return q[:, 0] ** 2
+
+        sample_s3_density(rng, f, 1.0, 50_000)
+    assert max(rows) <= fiberline._blocks._BLOCK
+    assert sum(rows) == rng.proposals
+
+
+def test_bundle_builds_no_frames_of_a_whole_round(monkeypatch):
+    # frames are built per block, for the proposals and for the kept points
+    real, rows = fiberline.haar.quat_to_rotation, []
+
+    def spy(q):
+        rows.append(len(q))
+        return real(q)
+
+    monkeypatch.setattr(fiberline.haar, "quat_to_rotation", spy)
+    monkeypatch.setattr(fiberline.bundle, "quat_to_rotation", spy)
+    rng = make_rng(1)
+    sample_bundle(rng, foot_tilt_density(4.0), 50_000)
+    assert max(rows) <= fiberline._blocks._BLOCK
+    assert sum(rows) == rng.proposals + 50_000
+
+
+def test_bundle_frames_are_sample_rotation_rows():
+    # proposing quaternions reads the words, and keeps the frames bit for
+    # bit, of proposing sample_rotation's frames
+    density, n = tilt_density(2.0), 30_000
+    pts = sample_bundle(make_rng(3), density, n)
+    rng = make_rng(3)
+    g, r = np.empty((n, 3, 3)), np.empty((n, 2))
+    _rejection(rng, lambda k: (sample_rotation(rng, k), sample_disk(rng, 1.0, k)),
+               density.f, density.bound, (g, r), 1_000_000)
+    assert np.array_equal(pts.g.view(np.int64), g.view(np.int64))
+    assert np.array_equal(pts.r.view(np.int64), r.view(np.int64))
 
 
 def test_flat_bundle_density_matches_isotropic():

@@ -167,6 +167,10 @@ def test_timestamp_from_source_date_epoch(capsys, monkeypatch):
     monkeypatch.delenv("SOURCE_DATE_EPOCH")
     _, out2, _ = _run(capsys, ["sample", "--n", "1", "--seed", "0"])
     assert json.loads(out2.splitlines()[0][12:])["timestamp"] == ""
+    # an unparsable epoch gives no timestamp rather than an error
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "not-a-number")
+    code, out3, _ = _run(capsys, ["sample", "--n", "1", "--seed", "0"])
+    assert code == 0 and out3 == out2
 
 
 def test_bertrand_report(capsys):
@@ -211,10 +215,27 @@ def test_chord_invalid_radius_exits_2(radius, capsys):
     assert err == "error: radius must be positive and finite\n"
 
 
-def test_chord_bad_body_exits_2(capsys):
-    code, _, err = _run(capsys, ["chord", "--body", "ball:1,2", "--radius",
-                                 "2", "--n", "10", "--seed", "1"])
-    assert code == 2 and err != ""
+@pytest.mark.parametrize("body", [
+    pytest.param("ball:1,2", id="ball-short"),
+    pytest.param("box:0,0,0,nan,1,1", id="box-nan"),
+    pytest.param("box:0,0,0,1,inf,1", id="box-inf"),
+    # a leading @ is the text of a halfspace file
+    pytest.param("@[]", id="empty-list"),
+    pytest.param('@{"normal": [1, 0, 0], "offset": 1}', id="object"),
+    pytest.param('@[{"normal": [1, 0, 0]}]', id="no-offset"),
+    pytest.param('@[{"normal": [1.5e308, 1.5e308, 1.5e308], "offset": 1}]',
+                 id="normal-overflows"),
+    pytest.param('@[{"normal": [1, 0, 0], "offset": 1e999}]', id="offset-inf"),
+])
+def test_chord_bad_body_exits_2(body, tmp_path, capsys):
+    if body.startswith("@"):
+        path = tmp_path / "body.json"
+        path.write_text(body[1:])
+        body = f"halfspaces:@{path}"
+    code, out, err = _run(capsys, ["chord", "--body", body, "--radius",
+                                   "2", "--n", "10", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def _halfspace_body(tmp_path, normals, offsets):

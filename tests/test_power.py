@@ -6,7 +6,8 @@ runs a CLI experiment at its default ``--n`` and seed 1, and requires exit 1
 with the named test more than 3 sigma (or below the p-value floor) off.
 The patches target the names the CLI actually calls:
 ``fiberline.bundle.sample_disk`` for the disk offsets of every isotropic
-line, ``fiberline.haar.sample_sphere3`` for the frames of ``sample_rotation``,
+line, ``fiberline.haar.sample_sphere3`` for the frames of every isotropic
+line and every ``sample_bundle`` proposal (and of ``sample_rotation``),
 ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions,
 ``fiberline.stats.chord`` for the chords of ``chord`` and
 ``fiberline.cli.bertrand_indicators`` for ``bertrand``.
