@@ -28,7 +28,7 @@ from .haar import (
     sample_sphere2,
     sample_sphere3,
 )
-from .linespace import DirectedLine, SlopeLine, slope_measure_weight
+from .linespace import DirectedLine, SlopeLine
 from .randkit import RngStream, gaussian, make_rng, split, uniform01
 from .stats import (
     Estimate,
@@ -63,7 +63,6 @@ __all__ = [
     "hopf_map",
     "DirectedLine",
     "SlopeLine",
-    "slope_measure_weight",
     "BundlePoint",
     "LineDensity",
     "act",

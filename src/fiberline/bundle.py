@@ -13,8 +13,8 @@ the offset coordinates.  The quotient map
 
 is invariant under this action: the two rotations cancel, so every orbit is
 one directed line.  Densities built from u and the foot vector inherit that
-invariance; ``symmetrize_density`` manufactures it for arbitrary raw
-densities by averaging over the circle.
+invariance, so they descend to densities on lines; every density here is
+one of them.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
-from .errors import NonFinite
 from .haar import _batch, _cube_rejection, _rejection, quat_to_rotation, \
     sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
@@ -40,7 +39,6 @@ __all__ = [
     "sample_isotropic",
     "sample_bundle",
     "sample_cosine_surface",
-    "symmetrize_density",
     "uniform_density",
     "tilt_density",
     "radial_density",
@@ -256,33 +254,6 @@ def sample_cosine_surface(
     if single:
         return DirectedLine(u[0], foot[0])
     return DirectedLine(u, foot)
-
-
-def symmetrize_density(
-    f_raw: Callable[[np.ndarray, np.ndarray], np.ndarray], k: int = 64
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Average a raw density over the circle at k equispaced angles.
-
-    The result is gauge-invariant up to the k-point quadrature error (exact
-    for densities whose angular dependence has harmonics below k).  NonFinite
-    from f_raw propagates.
-    """
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    angles = 2.0 * np.pi * np.arange(k) / k
-
-    def f(g: np.ndarray, r: np.ndarray) -> np.ndarray:
-        acc = None
-        for h in angles:
-            g2, r2 = _act_arrays(h, g, r)
-            v = np.asarray(f_raw(g2, r2), dtype=np.float64)
-            if not np.all(np.isfinite(v)):
-                raise NonFinite("raw density returned NaN or infinity")
-            acc = v.copy() if acc is None else acc + v
-        return acc / k
-
-    return f
 
 
 def uniform_density(disk_radius: float = 1.0) -> LineDensity:

@@ -9,11 +9,9 @@ __all__ = [
     "FiberlineError",
     "NotUnit",
     "PoleSingularity",
-    "HorizontalLine",
     "BoundViolated",
     "NonFinite",
     "RejectionStall",
-    "AntipodalViolation",
     "InsufficientRadius",
     "NoHits",
     "DegenerateWeights",
@@ -34,10 +32,6 @@ class PoleSingularity(FiberlineError):
     """The cross-product frame is undefined at (or too close to) the poles."""
 
 
-class HorizontalLine(FiberlineError):
-    """A line parallel to the z = 0 plane has no slope-intercept chart."""
-
-
 class BoundViolated(FiberlineError):
     """A density evaluation exceeded its declared rejection bound."""
 
@@ -48,10 +42,6 @@ class NonFinite(FiberlineError):
 
 class RejectionStall(FiberlineError):
     """Rejection sampling accepted essentially nothing over many proposals."""
-
-
-class AntipodalViolation(FiberlineError):
-    """A density declared antipodally symmetric gave f(q) != f(-q)."""
 
 
 class InsufficientRadius(FiberlineError):

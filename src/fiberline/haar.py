@@ -2,9 +2,7 @@
 
 Rotations are sampled by normalizing 4 gaussians to a unit quaternion
 (uniform on S^3) and pushing through the standard quaternion-to-matrix map;
-the two preimages q and -q give the same rotation.  A tunable rejection
-sampler reweights S^3 by a user density, optionally treating antipodal
-points as identified.
+the two preimages q and -q give the same rotation.
 
 Every draw ends in one of two kernels: ``_redraw`` draws rejected geometric
 candidates again (cube points outside the ball, vectors too short to
@@ -22,23 +20,20 @@ from typing import Callable
 import numpy as np
 
 from ._blocks import blocked_max, blocks, dot
-from .errors import AntipodalViolation, BoundViolated, NonFinite, NotUnit, \
-    PoleSingularity, RejectionStall
+from .errors import BoundViolated, NonFinite, NotUnit, PoleSingularity, \
+    RejectionStall
 from .randkit import RngStream
 
 __all__ = [
     "sample_sphere2",
     "sample_sphere3",
-    "sample_ball3",
     "quat_to_rotation",
     "quat_mul",
-    "rotation_to_frame",
     "sample_rotation",
     "rotation_angle",
     "rotation_angle_cdf",
     "s3_w_cdf",
     "hopf_map",
-    "sample_s3_density",
     "naive_frame",
     "tangent_from_ball",
     "angle_between",
@@ -116,21 +111,14 @@ def sample_sphere3(rng: RngStream, n: int | None = None) -> np.ndarray:
     return out[0] if single else out
 
 
-def sample_ball3(rng: RngStream, n: int | None = None) -> np.ndarray:
-    """Uniform point(s) in the closed unit ball via cube rejection.
-
-    Candidates are uniform in [-1, 1)^3 and kept when inside the ball, so the
-    long-run acceptance rate is the volume ratio pi/6.  Each candidate costs
-    three random words, so a draw that used w words saw w/3 candidates.
-    """
-    m, single = _batch(n)
-    out = _cube_rejection(rng, m, 3)
-    return out[0] if single else out
-
-
 def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m uniform points of the closed unit ball in R^dim: candidates uniform
-    in [-1, 1)^dim, rows outside the ball redrawn."""
+    in [-1, 1)^dim, rows outside the ball redrawn.
+
+    Each candidate costs dim random words, so a draw that used w words saw
+    w/dim candidates; in R^3 the long-run acceptance rate is the volume ratio
+    pi/6.
+    """
     def draw(rows):
         c = 2.0 * rng.uniforms(dim * rows.size).reshape(-1, dim) - 1.0
         ok = dot(c, c) <= 1.0
@@ -204,12 +192,6 @@ def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     )
 
 
-def rotation_to_frame(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of R as three vectors: the images of e_x, e_y, e_z."""
-    R = np.asarray(R, dtype=np.float64)
-    return R[..., :, 0], R[..., :, 1], R[..., :, 2]
-
-
 def sample_rotation(rng: RngStream, n: int | None = None) -> np.ndarray:
     """Uniformly distributed rotation matrix/matrices; (3, 3) or (n, 3, 3)."""
     return quat_to_rotation(sample_sphere3(rng, n))
@@ -251,51 +233,6 @@ def hopf_map(q: np.ndarray) -> np.ndarray:
     return quat_to_rotation(q)[..., :, 2]
 
 
-def sample_s3_density(
-    rng: RngStream,
-    f: Callable[[np.ndarray], np.ndarray],
-    bound: float,
-    n: int | None = None,
-    *,
-    projective: bool = False,
-    stall_proposals: int = 1_000_000,
-):
-    """Quaternions distributed as f(q) times the uniform S^3 measure.
-
-    Parameters
-    ----------
-    f : callable
-        Density factor: maps a block of (m, 4) quaternions to (m,) values in
-        [0, bound], each from its own row alone.  Need not be normalized.
-    bound : float
-        Rejection bound M; proposals are kept with probability f(q)/M, and
-        counted on ``rng.proposals`` and ``rng.accepted``.
-    projective : bool
-        Declare f antipodally symmetric.  The first 1000 samples are audited
-        (|f(q) - f(-q)| <= 1e-12) and AntipodalViolation raised otherwise.
-
-    Raises
-    ------
-    BoundViolated if f exceeds ``bound`` beyond roundoff, NonFinite on NaN or
-    infinite density values, RejectionStall if fewer than a 1e-6 fraction of
-    at least ``stall_proposals`` candidates were kept.
-    """
-    if not (np.isfinite(bound) and bound > 0.0):
-        raise ValueError("bound must be positive and finite")
-    m, single = _batch(n)
-    out = np.empty((m, 4), dtype=np.float64)
-    _rejection(rng, lambda k: (sample_sphere3(rng, k),), f, bound,
-               (out,), stall_proposals)
-    if projective and m > 0:
-        q = out[:1000]
-        diff = np.abs(np.asarray(f(q), float) - np.asarray(f(-q), float))
-        if np.any(diff > 1e-12):
-            raise AntipodalViolation(
-                f"f(q) and f(-q) differ by up to {float(diff.max()):.3e}"
-            )
-    return out[0] if single else out
-
-
 def _rejection(
     rng: RngStream,
     propose: Callable[[int], tuple[np.ndarray, ...]],
@@ -310,8 +247,11 @@ def _rejection(
     of their rows to density values in [0, bound], and a proposal is kept
     when a uniform times ``bound`` falls below its value.  Each round adds
     its proposals and acceptances to ``rng.proposals`` and ``rng.accepted``.
-    Raises ValueError on a misshapen density, NonFinite, BoundViolated and
-    RejectionStall as documented on :func:`sample_s3_density`.
+
+    Raises ValueError unless ``f`` returns one value per row, NonFinite on
+    NaN or infinite values, BoundViolated on values outside [0, bound]
+    beyond roundoff, and RejectionStall once at least ``stall_proposals``
+    proposals kept fewer than a 1e-6 fraction.
     """
     m = outs[0].shape[0]
     got = 0
@@ -390,7 +330,7 @@ def tangent_from_ball(
     us = us / _unit_norms(us, "direction")[:, None]
 
     def draw(pending):
-        b = sample_ball3(rng, pending.size)
+        b = _cube_rejection(rng, pending.size, 3)
         ub = us[pending]
         return _normalized(b - dot(b, ub)[:, None] * ub)
 

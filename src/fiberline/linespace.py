@@ -7,8 +7,7 @@ that are not horizontal also admit the chart
     x = a z + p,   y = b z + q,
 
 and in these coordinates the rigid-motion-invariant measure on lines has
-density ``(1 + a^2 + b^2)^-2 da db dp dq``, which is what
-:func:`slope_measure_weight` evaluates (unnormalized).
+density ``(1 + a^2 + b^2)^-2 da db dp dq`` (unnormalized).
 """
 from __future__ import annotations
 
@@ -19,17 +18,13 @@ from typing import Iterator
 import numpy as np
 
 from ._blocks import blocked_max, blocks, dot
-from .errors import HorizontalLine, NotUnit
+from .errors import NotUnit
 
 __all__ = [
     "DirectedLine",
     "SlopeLine",
     "slope_to_directed",
-    "directed_to_slope",
-    "slope_measure_weight",
-    "undirect",
     "point_at",
-    "lines_equal",
     "lines_to_records",
     "write_lines",
 ]
@@ -37,7 +32,6 @@ __all__ = [
 _UNIT_TOL = 1e-12
 _FOOT_TOL = 1e-9
 _FOOT_REL_TOL = 5e-12
-_HORIZONTAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,62 +148,10 @@ def slope_to_directed(sl: SlopeLine) -> DirectedLine:
     return DirectedLine(u, foot)
 
 
-def directed_to_slope(dl: DirectedLine) -> SlopeLine:
-    """(u, foot) -> chart coordinates; HorizontalLine if any |u_z| <= 1e-9.
-
-    Inverts :func:`slope_to_directed` for lines directed into z > 0; a line
-    directed into z < 0 maps to the same chart point as its reversal.
-    """
-    u, foot = dl.u, dl.foot
-    uz = u[..., 2]
-    if np.any(np.abs(uz) <= _HORIZONTAL_TOL):
-        raise HorizontalLine("|u_z| <= 1e-9: line has no slope chart")
-    a = u[..., 0] / uz
-    b = u[..., 1] / uz
-    # intersection with z = 0 is foot + t u at t = -foot_z / u_z
-    t = -foot[..., 2] / uz
-    p = foot[..., 0] + t * u[..., 0]
-    q = foot[..., 1] + t * u[..., 1]
-    return SlopeLine(a, b, p, q)
-
-
-def slope_measure_weight(sl: SlopeLine) -> np.ndarray:
-    """Invariant line-measure density (1 + a^2 + b^2)^-2 (unnormalized)."""
-    s2 = 1.0 + sl.a * sl.a + sl.b * sl.b
-    return 1.0 / (s2 * s2)
-
-
-def undirect(dl: DirectedLine) -> DirectedLine:
-    """Canonical representative of the undirected line.
-
-    Flips u (foot is orientation-free already) so that the first nonzero
-    component of (u_z, u_y, u_x) is positive.  Idempotent.
-    """
-    u = dl.u
-    s = np.asarray(np.sign(u[..., 2]))
-    for axis in (1, 0):
-        zero = s == 0.0
-        if not np.any(zero):
-            break
-        s = np.where(zero, np.sign(u[..., axis]), s)
-    return DirectedLine(u * s[..., None], dl.foot)
-
-
 def point_at(dl: DirectedLine, t) -> np.ndarray:
     """Point(s) foot + t u; t is a scalar or an (n,) array matching a batch."""
     t = np.asarray(t, dtype=np.float64)
     return dl.foot + t[..., None] * dl.u
-
-
-def lines_equal(dl1: DirectedLine, dl2: DirectedLine, directed: bool = True):
-    """Componentwise closeness to 1e-9; set ``directed=False`` to compare the
-    undirected lines instead.  Returns a bool, or a bool array for batches."""
-    if not directed:
-        dl1, dl2 = undirect(dl1), undirect(dl2)
-    du = np.max(np.abs(dl1.u - dl2.u), axis=-1)
-    df = np.max(np.abs(dl1.foot - dl2.foot), axis=-1)
-    res = (du <= 1e-9) & (df <= 1e-9)
-    return res if isinstance(res, np.ndarray) else bool(res)
 
 
 _COLUMNS = ("ux", "uy", "uz", "qx", "qy", "qz")
@@ -254,10 +196,12 @@ def _json_chunks(parts, manifest: dict) -> Iterator[str]:
         return
     # head ends with '"lines": []\n}'; open the list and splice the records in
     yield head[:-len("]\n}")] + "\n"
-    sep = ""  # records are joined by ",\n" across block and part edges too
-    for rows, values in _value_blocks(parts):
-        yield sep + ",\n".join([_JSON_RECORD] * rows) % values
-        sep = ",\n"
+    # records are joined by ",\n" across block and part edges too; the
+    # separator is its own chunk, so no block's text is copied to prepend it
+    for i, (rows, values) in enumerate(_value_blocks(parts)):
+        if i:
+            yield ",\n"
+        yield ",\n".join([_JSON_RECORD] * rows) % values
     yield "\n  ]\n}\n"
 
 

@@ -40,6 +40,7 @@ from fiberline.linespace import DirectedLine
 from fiberline.randkit import make_rng
 from fiberline.stats import (
     BERTRAND_METHODS,
+    ball_chord_cdf,
     bertrand_experiment,
     bertrand_oracle,
     chi2_isotropy,
@@ -163,7 +164,7 @@ def test_criterion_8_cosine_source_equivalence():
     ch_c = chord(UNIT_BALL, sample_cosine_surface(make_rng(800), 1.0, 100_000))
     iso = chord(UNIT_BALL, sample_isotropic(make_rng(801), 1.0, 100_000))
     two = ks_two_sample(ch_c, iso[iso > 0.0])
-    exact = ks_test(ch_c, lambda x: np.clip(x * x / 4.0, 0.0, 1.0))
+    exact = ks_test(ch_c, ball_chord_cdf)
     ok = two.p_value > 0.001 and exact.p_value > 0.001
     _verdict("criterion 8, cosine-source equivalence", ok,
              f"two-sample KS p={two.p_value:.3f}, "

@@ -20,14 +20,13 @@ from fiberline.bundle import (
     sample_cosine_surface,
     sample_disk,
     sample_isotropic,
-    symmetrize_density,
     tilt_density,
     tilt_radial_density,
     uniform_density,
 )
 from fiberline.errors import BoundViolated, NonFinite, RejectionStall
 from fiberline.geometry import Ball, chord
-from fiberline.haar import _rejection, sample_rotation, sample_s3_density
+from fiberline.haar import _rejection, sample_rotation
 from fiberline.linespace import DirectedLine
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
@@ -170,24 +169,16 @@ def test_isotropic_lines_build_no_whole_batch_temporaries():
     assert peak <= 2.5 * (lines.u.nbytes + lines.foot.nbytes)
 
 
-@pytest.mark.parametrize("sampler", ["bundle", "s3"])
-def test_density_sees_one_block_at_a_time(sampler):
+def test_density_sees_one_block_at_a_time():
     # a first round of 50 008 proposals reaches the density in blocks
     rows, rng = [], make_rng(1)
-    if sampler == "bundle":
-        foot_tilt = foot_tilt_density(4.0)
+    foot_tilt = foot_tilt_density(4.0)
 
-        def f(g, r):
-            rows.append(len(g))
-            return foot_tilt.f(g, r)
+    def f(g, r):
+        rows.append(len(g))
+        return foot_tilt.f(g, r)
 
-        sample_bundle(rng, LineDensity(f, 1.0, 1.0), 50_000)
-    else:
-        def f(q):
-            rows.append(len(q))
-            return q[:, 0] ** 2
-
-        sample_s3_density(rng, f, 1.0, 50_000)
+    sample_bundle(rng, LineDensity(f, 1.0, 1.0), 50_000)
     assert max(rows) <= fiberline._blocks._BLOCK
     assert sum(rows) == rng.proposals
 
@@ -279,6 +270,11 @@ def test_bundle_nonfinite():
     bad = LineDensity(lambda g, r: np.full(g.shape[0], np.inf), 1.0, 1.0)
     with pytest.raises(NonFinite):
         sample_bundle(make_rng(16), bad, 100)
+    # one NaN among finite values fails the round too
+    nan_row = LineDensity(
+        lambda g, r: np.where(np.arange(g.shape[0]) == 0, np.nan, 1.0), 1.0, 1.0)
+    with pytest.raises(NonFinite):
+        sample_bundle(make_rng(22), nan_row, 100)
 
 
 def test_bundle_stall():
@@ -305,25 +301,16 @@ def test_overflowing_density_is_still_nonfinite():
         sample_bundle(make_rng(16), big, 100)
 
 
-def _s3_with(values):
-    return sample_s3_density(make_rng(25), lambda q: values(q.shape[0]), 1.0, 100)
-
-
-def _bundle_with(values):
-    density = LineDensity(lambda g, r: values(g.shape[0]), 1.0, 1.0)
-    return sample_bundle(make_rng(25), density, 100)
-
-
-@pytest.mark.parametrize("draw", [_s3_with, _bundle_with], ids=["s3", "bundle"])
 @pytest.mark.parametrize("values, error", [
     (lambda k: np.ones(k + 1), ValueError),       # not one value per proposal
     (lambda k: np.ones((k, 1)), ValueError),
     (lambda k: np.full(k, -0.5), BoundViolated),  # negative density
 ], ids=["extra-value", "column", "negative"])
-def test_rejection_density_contract(draw, values, error):
-    """Both samplers share one rejection loop and its density checks."""
+def test_rejection_density_contract(values, error):
+    """The rejection loop's checks on what a density returns."""
+    density = LineDensity(lambda g, r: values(g.shape[0]), 1.0, 1.0)
     with pytest.raises(error):
-        draw(values)
+        sample_bundle(make_rng(25), density, 100)
 
 
 def test_density_validation():
@@ -337,50 +324,6 @@ def test_density_validation():
         radial_density(0.0)
     with pytest.raises(ValueError):
         foot_tilt_density(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# symmetrization
-
-def test_symmetrize_fixes_invariant_density():
-    d = tilt_radial_density(2.0, 0.5)
-    sym = symmetrize_density(d.f, k=8)
-    g = sample_rotation(make_rng(18), 100)
-    r = sample_disk(make_rng(19), 1.0, 100)
-    assert np.max(np.abs(sym(g, r) - d.f(g, r))) < 1e-12
-
-
-def test_symmetrize_kills_pure_harmonic():
-    """f = 1 + cos(offset angle) averages to exactly 1 for any k >= 2."""
-
-    def f_raw(g, r):
-        return 1.0 + np.cos(np.arctan2(r[..., 1], r[..., 0]))
-
-    g = sample_rotation(make_rng(20), 100)
-    r = sample_disk(make_rng(21), 1.0, 100)
-    for k in (2, 3, 64):
-        sym = symmetrize_density(f_raw, k=k)
-        assert np.max(np.abs(sym(g, r) - 1.0)) < 1e-12
-
-
-def test_symmetrize_makes_gauge_invariant():
-    # a generic smooth non-invariant density becomes invariant to quadrature
-    # accuracy once averaged at k = 64 points
-    def f_raw(g, r):
-        return np.exp(np.cos(np.arctan2(r[..., 1], r[..., 0]))) / 3.0
-
-    sym = symmetrize_density(f_raw, k=64)
-    pt = _random_points(22, 100)
-    base = sym(pt.g, pt.r)
-    for h in (0.3, 1.7, 4.4):
-        g2, r2 = act(h, pt).g, act(h, pt).r
-        assert np.max(np.abs(sym(g2, r2) - base)) < 1e-6
-
-
-def test_symmetrize_propagates_nonfinite():
-    sym = symmetrize_density(lambda g, r: np.full(g.shape[0], np.nan), k=4)
-    with pytest.raises(NonFinite):
-        sym(np.eye(3)[None], np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------

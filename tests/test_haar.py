@@ -2,15 +2,10 @@
 import numpy as np
 import pytest
 
-from fiberline.errors import (
-    AntipodalViolation,
-    BoundViolated,
-    NonFinite,
-    NotUnit,
-    PoleSingularity,
-    RejectionStall,
-)
+from fiberline.bundle import sample_bundle, tilt_density, uniform_density
+from fiberline.errors import NotUnit, PoleSingularity
 from fiberline.haar import (
+    _cube_rejection,
     angle_between,
     hopf_map,
     naive_frame,
@@ -18,11 +13,8 @@ from fiberline.haar import (
     quat_to_rotation,
     rotation_angle,
     rotation_angle_cdf,
-    rotation_to_frame,
     s3_w_cdf,
-    sample_ball3,
     sample_rotation,
-    sample_s3_density,
     sample_sphere2,
     sample_sphere3,
     tangent_from_ball,
@@ -83,7 +75,7 @@ def test_w_variance_quadrature():
 def test_ball3_inside_and_acceptance():
     # every candidate costs three words, so the words used count the proposals
     rng = make_rng(6)
-    pts = sample_ball3(rng, N_BIG)
+    pts = _cube_rejection(rng, N_BIG, 3)
     rate = N_BIG / (rng._counter // 3)
     assert np.max(np.sum(pts * pts, axis=1)) <= 1.0
     assert abs(rate - np.pi / 6.0) < 0.01 * np.pi / 6.0
@@ -126,13 +118,6 @@ def test_quat_mul_matches_matrix_product():
     lhs = quat_to_rotation(quat_mul(q1, q2))
     rhs = quat_to_rotation(q1) @ quat_to_rotation(q2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_rotation_to_frame_is_columns():
-    R = sample_rotation(make_rng(11), 5)
-    ex, ey, ez = rotation_to_frame(R)
-    assert np.array_equal(ex, R[:, :, 0])
-    assert np.array_equal(ez, R @ np.array([0.0, 0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +184,18 @@ def test_hopf_pushforward_uniform():
 
 
 # ---------------------------------------------------------------------------
-# density-weighted S^3 sampling
+# the rejection kernel, through sample_bundle
 
-def test_s3_density_flat_accepts_everything():
+def test_flat_density_accepts_everything():
     rng = make_rng(18)
-    q = sample_s3_density(rng, lambda q: np.ones(q.shape[0]), 1.0, 10_000)
+    pts = sample_bundle(rng, uniform_density(), 10_000)
     assert rng.accepted == rng.proposals > 0
-    assert q.shape == (10_000, 4)
-
-
-def test_s3_density_acceptance_rate():
-    """f = 1 + w^2 with bound 2: mean acceptance (1 + 1/4)/2 = 0.625."""
-    rng = make_rng(19)
-    sample_s3_density(rng, lambda q: 1.0 + q[:, 0] ** 2, 2.0, 600_000,
-                      projective=True)
-    assert abs(rng.accepted / rng.proposals - 0.625) < 0.01 * 0.625
+    assert len(pts) == 10_000
 
 
 def test_rejection_counts_are_totals_per_stream():
     def draw(rng):
-        sample_s3_density(rng, lambda q: 1.0 + q[:, 0] ** 2, 2.0, 500)
+        sample_bundle(rng, tilt_density(2.0), 500)
 
     rng = make_rng(21)
     draw(rng)
@@ -234,58 +211,6 @@ def test_rejection_counts_are_totals_per_stream():
                                              first[1] + alone.proposals)
     child = split(rng, 1)
     assert (child.accepted, child.proposals) == (0, 0)
-
-
-def test_s3_density_reweights_w():
-    # under f = 1 + w^2 the w-marginal becomes (1+w^2) sqrt(1-w^2), testable
-    # against its quadrature CDF
-    q = sample_s3_density(make_rng(20), lambda q: 1.0 + q[:, 0] ** 2, 2.0, N_KS,
-                          projective=True)
-    grid = np.linspace(-1.0, 1.0, 4001)
-    dens = (1.0 + grid**2) * np.sqrt(np.maximum(0.0, 1.0 - grid**2))
-    cdf_grid = np.concatenate(
-        [[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(grid))]
-    )
-    cdf_grid /= cdf_grid[-1]
-    rep = ks_test(q[:, 0], lambda w: np.interp(w, grid, cdf_grid))
-    assert rep.p_value > 0.001
-
-
-def test_s3_density_bound_violation():
-    with pytest.raises(BoundViolated):
-        sample_s3_density(make_rng(21), lambda q: 1.0 + q[:, 0] ** 2, 1.0, 100)
-
-
-def test_s3_density_negative_rejected():
-    with pytest.raises(BoundViolated):
-        sample_s3_density(make_rng(21), lambda q: q[:, 0], 1.0, 100)
-
-
-def test_s3_density_nonfinite():
-    def f(q):
-        v = np.ones(q.shape[0])
-        v[0] = np.nan
-        return v
-
-    with pytest.raises(NonFinite):
-        sample_s3_density(make_rng(22), f, 1.0, 100)
-
-
-def test_s3_density_antipodal_audit():
-    # declaring projective symmetry for an asymmetric density must be caught
-    with pytest.raises(AntipodalViolation):
-        sample_s3_density(
-            make_rng(23), lambda q: (1.0 + q[:, 0]) / 2.0, 1.0, 1000,
-            projective=True,
-        )
-
-
-def test_s3_density_stall():
-    with pytest.raises(RejectionStall):
-        sample_s3_density(
-            make_rng(24), lambda q: np.zeros(q.shape[0]), 1.0, 100,
-            stall_proposals=100_000,
-        )
 
 
 # ---------------------------------------------------------------------------

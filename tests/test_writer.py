@@ -119,3 +119,12 @@ def test_writer_memory_does_not_grow_with_n(fmt, monkeypatch):
     # a whole-n (n, 6) float table is small next to one block's text, so the
     # ratio misses it; it grows by 48 bytes per extra row, so bound the growth
     assert peak_big - peak_small < 6 * block * 6 * 8 / 2
+
+
+def test_json_separators_copy_no_block_text():
+    # writing three blocks peaks about 1.05x as high as writing one; a
+    # writer that copies each later block's text, to put ",\n" before it,
+    # peaks about 1.3x as high
+    lines = sample_isotropic(make_rng(SEED), 1.0, 3 * DEFAULT_BLOCK)
+    one = DirectedLine(lines.u[:DEFAULT_BLOCK], lines.foot[:DEFAULT_BLOCK])
+    assert _traced_peak(lines, "json") <= 1.15 * _traced_peak(one, "json")
