@@ -25,7 +25,7 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
-from .haar import _batch, _cube_rejection, _rejection, quat_to_rotation, \
+from .haar import _count, _cube_rejection, _rejection, quat_to_rotation, \
     sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
@@ -164,30 +164,27 @@ def project_to_line(pt: BundlePoint) -> DirectedLine:
     return DirectedLine(u, foot)
 
 
-def sample_disk(rng: RngStream, radius: float, n: int | None = None) -> np.ndarray:
-    """Uniform point(s) in the closed disk of given radius, by square
-    rejection; shape (2,) or (n, 2)."""
+def sample_disk(rng: RngStream, radius: float, n: int) -> np.ndarray:
+    """n uniform points in the closed disk of given radius, by square
+    rejection; shape (n, 2)."""
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be positive and finite")
-    m, single = _batch(n)
-    out = _cube_rejection(rng, m, 2)
+    out = _cube_rejection(rng, _count(n), 2)
     out *= radius
-    return out[0] if single else out
+    return out
 
 
-def sample_isotropic(
-    rng: RngStream, radius: float, n: int | None = None
-) -> DirectedLine:
-    """Line(s) from the rotation-invariant kinematic measure, restricted to
+def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
+    """n lines from the rotation-invariant kinematic measure, restricted to
     lines whose foot lies within ``radius`` of the origin.
 
-    Draws a uniformly random frame and a uniform offset in the disk (frames
-    first, then offsets, when batched).  Every line meeting the ball of that
-    radius is reachable, with density constant in the invariant measure.
+    Draws uniformly random frames, then uniform offsets in the disk.  Every
+    line meeting the ball of that radius is reachable, with density constant
+    in the invariant measure.
     The frames are drawn as quaternions and turned into lines one block at a
     time, so no (n, 3, 3) frame array is built.
     """
-    m, single = _batch(n)
+    m = _count(n)
     # looked up on haar at call time: replacing haar.sample_sphere3 replaces
     # these frames too
     q = haar.sample_sphere3(rng, m)
@@ -196,17 +193,11 @@ def sample_isotropic(
     foot = np.empty((m, 3), dtype=np.float64)
     for s in blocks(m):
         u[s], foot[s] = _project_arrays(quat_to_rotation(q[s]), r[s])
-    return DirectedLine(u[0], foot[0]) if single else DirectedLine(u, foot)
+    return DirectedLine(u, foot)
 
 
-def sample_bundle(
-    rng: RngStream,
-    density: LineDensity,
-    n: int | None = None,
-    *,
-    stall_proposals: int = 1_000_000,
-) -> BundlePoint:
-    """Bundle point(s) distributed as density.f times the product of the
+def sample_bundle(rng: RngStream, density: LineDensity, n: int) -> BundlePoint:
+    """n bundle points distributed as density.f times the product of the
     rotation-invariant measure on frames and the uniform disk on offsets.
 
     Plain rejection: propose (frame, disk offset), keep with probability
@@ -215,26 +206,24 @@ def sample_bundle(
     quaternions (looked up at call time) and built one block at a time.
     Raises BoundViolated if f exceeds the bound beyond roundoff, NonFinite on
     NaN/inf densities, RejectionStall when fewer than a 1e-6 fraction of at
-    least ``stall_proposals`` candidates were kept.
+    least ``haar._STALL_PROPOSALS`` (one million) candidates were kept.
     """
-    m, single = _batch(n)
+    m = _count(n)
     q_out = np.empty((m, 4), dtype=np.float64)
     r_out = np.empty((m, 2), dtype=np.float64)
     _rejection(rng, lambda k: (haar.sample_sphere3(rng, k),
                                sample_disk(rng, density.disk_radius, k)),
                lambda q, r: density.f(quat_to_rotation(q), r),
-               density.bound, (q_out, r_out), stall_proposals)
+               density.bound, (q_out, r_out))
     g_out = np.empty((m, 3, 3), dtype=np.float64)
     # per block, like the proposals: no whole-m temporaries beside the frames
     for s in blocks(m):
         g_out[s] = quat_to_rotation(q_out[s])
-    return BundlePoint(g_out[0], r_out[0]) if single else BundlePoint(g_out, r_out)
+    return BundlePoint(g_out, r_out)
 
 
-def sample_cosine_surface(
-    rng: RngStream, radius: float, n: int | None = None
-) -> DirectedLine:
-    """Line(s) through cosine-weighted inward directions from the sphere.
+def sample_cosine_surface(rng: RngStream, radius: float, n: int) -> DirectedLine:
+    """n lines through cosine-weighted inward directions from the sphere.
 
     A uniform surface point on the sphere of the given radius emits a ray
     whose angle from the inward normal has density 2 cos(alpha) sin(alpha)
@@ -243,7 +232,7 @@ def sample_cosine_surface(
     """
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be positive and finite")
-    m, single = _batch(n)
+    m = _count(n)
     normal_in = -sample_sphere2(rng, m)  # inward normal at the surface point
     surf = -radius * normal_in
     tang = tangent_from_ball(rng, normal_in)
@@ -251,8 +240,6 @@ def sample_cosine_surface(
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
     u = cos_a[:, None] * normal_in + sin_a[:, None] * tang
     foot = surf - dot(surf, u)[:, None] * u
-    if single:
-        return DirectedLine(u[0], foot[0])
     return DirectedLine(u, foot)
 
 

@@ -8,10 +8,8 @@ Every draw ends in one of two kernels: ``_redraw`` draws rejected geometric
 candidates again (cube points outside the ball, vectors too short to
 normalize), and ``_rejection`` keeps proposals with probability f/bound.
 
-All samplers follow one batch convention: ``n=None`` returns a single item,
-``n=k`` returns a leading axis of length k, and a single item is computed as
-a batch of one (so scalar and batch runs consume the random stream
-identically).
+Every sampler takes a count n and returns a batch with a leading axis of
+length n.
 """
 from __future__ import annotations
 
@@ -42,15 +40,16 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _TINY_NORM = 1e-6  # gaussian/ball vectors shorter than this are redrawn
 _STALL_ACCEPTANCE = 1e-6  # rejection loops keeping less than this stall
+# proposals a rejection loop makes before it may stall; read at every call,
+# so tests can lower it
+_STALL_PROPOSALS = 1_000_000
 
 
-def _batch(n: int | None) -> tuple[int, bool]:
-    if n is None:
-        return 1, True
+def _count(n: int) -> int:
     n = int(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return n, False
+    return n
 
 
 def _redraw(m: int, dim: int, draw: Callable,
@@ -97,18 +96,14 @@ def _unit_gaussians(rng: RngStream, m: int, dim: int) -> np.ndarray:
         rng.gaussians(dim * rows.size).reshape(-1, dim)), sequential=True)
 
 
-def sample_sphere2(rng: RngStream, n: int | None = None) -> np.ndarray:
-    """Uniform unit vector(s) on S^2; shape (3,) or (n, 3)."""
-    m, single = _batch(n)
-    out = _unit_gaussians(rng, m, 3)
-    return out[0] if single else out
+def sample_sphere2(rng: RngStream, n: int) -> np.ndarray:
+    """n uniform unit vectors on S^2, shape (n, 3)."""
+    return _unit_gaussians(rng, _count(n), 3)
 
 
-def sample_sphere3(rng: RngStream, n: int | None = None) -> np.ndarray:
-    """Uniform unit quaternion(s) on S^3 as (w, x, y, z); shape (4,) or (n, 4)."""
-    m, single = _batch(n)
-    out = _unit_gaussians(rng, m, 4)
-    return out[0] if single else out
+def sample_sphere3(rng: RngStream, n: int) -> np.ndarray:
+    """n uniform unit quaternions on S^3 as (w, x, y, z), shape (n, 4)."""
+    return _unit_gaussians(rng, _count(n), 4)
 
 
 def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
@@ -192,8 +187,8 @@ def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_rotation(rng: RngStream, n: int | None = None) -> np.ndarray:
-    """Uniformly distributed rotation matrix/matrices; (3, 3) or (n, 3, 3)."""
+def sample_rotation(rng: RngStream, n: int) -> np.ndarray:
+    """n uniformly distributed rotation matrices, shape (n, 3, 3)."""
     return quat_to_rotation(sample_sphere3(rng, n))
 
 
@@ -239,7 +234,6 @@ def _rejection(
     f: Callable[..., np.ndarray],
     bound: float,
     outs: tuple[np.ndarray, ...],
-    stall_proposals: int,
 ) -> None:
     """Fill ``outs``, arrays sharing a leading axis of length m, by rejection.
 
@@ -250,7 +244,7 @@ def _rejection(
 
     Raises ValueError unless ``f`` returns one value per row, NonFinite on
     NaN or infinite values, BoundViolated on values outside [0, bound]
-    beyond roundoff, and RejectionStall once at least ``stall_proposals``
+    beyond roundoff, and RejectionStall once at least ``_STALL_PROPOSALS``
     proposals kept fewer than a 1e-6 fraction.
     """
     m = outs[0].shape[0]
@@ -286,7 +280,7 @@ def _rejection(
             out[got:got + idx.size] = p[idx]
         got += idx.size
         rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
-        if proposals >= stall_proposals and accepted < _STALL_ACCEPTANCE * proposals:
+        if proposals >= _STALL_PROPOSALS and accepted < _STALL_ACCEPTANCE * proposals:
             raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
 
 
@@ -306,36 +300,24 @@ def naive_frame(u: np.ndarray) -> np.ndarray:
     return c / nrm[..., None]
 
 
-def tangent_from_ball(
-    rng: RngStream,
-    u: np.ndarray,
-    n: int | None = None,
-) -> np.ndarray:
-    """Random unit tangent(s) orthogonal to u, isotropic in the tangent plane.
+def tangent_from_ball(rng: RngStream, u: np.ndarray) -> np.ndarray:
+    """One random unit tangent orthogonal to each row of the (m, 3) array u,
+    isotropic in the tangent plane.
 
     A uniform ball point is projected onto the plane orthogonal to u and
-    normalized; projections shorter than 1e-6 trigger a redraw.  Accepts one
-    direction (shape (3,), optionally with ``n`` tangents for it) or a batch
-    (m, 3) yielding one tangent per row (``n`` must then be None).
+    normalized; projections shorter than 1e-6 trigger a redraw.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        m, single = _batch(n)
-        us = np.broadcast_to(u, (m, 3))
-    else:
-        if n is not None:
-            raise ValueError("n must be None when u is already a batch")
-        us = u
-        m, single = u.shape[0], False
-    us = us / _unit_norms(us, "direction")[:, None]
+    if u.ndim != 2 or u.shape[1] != 3:
+        raise ValueError("u must have shape (m, 3)")
+    us = u / _unit_norms(u, "direction")[:, None]
 
     def draw(pending):
         b = _cube_rejection(rng, pending.size, 3)
         ub = us[pending]
         return _normalized(b - dot(b, ub)[:, None] * ub)
 
-    out = _redraw(m, 3, draw)
-    return out[0] if single else out
+    return _redraw(len(us), 3, draw)
 
 
 def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:

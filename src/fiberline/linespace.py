@@ -22,7 +22,6 @@ from .errors import NotUnit
 
 __all__ = [
     "DirectedLine",
-    "SlopeLine",
     "slope_to_directed",
     "point_at",
     "lines_to_records",
@@ -93,33 +92,6 @@ def _check_rows(u: np.ndarray, foot: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SlopeLine:
-    """Line(s) in slope-intercept form x = a z + p, y = b z + q.
-
-    Fields are floats or equally shaped (n,) arrays; all must be finite.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        vals = []
-        for name in ("a", "b", "p", "q"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.ndim > 1:
-                raise ValueError("slope coordinates must be scalars or 1-d")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            vals.append(v)
-        if len({v.shape for v in vals}) != 1:
-            raise ValueError("a, b, p, q must share one shape")
-        for name, v in zip(("a", "b", "p", "q"), vals):
-            object.__setattr__(self, name, v)
-
-
 def _unit_and_length(v, what: str) -> tuple[np.ndarray, float]:
     """The finite nonzero 3-vector v at unit length, and its length (inf
     past the largest double).  The largest component is divided out first,
@@ -133,14 +105,18 @@ def _unit_and_length(v, what: str) -> tuple[np.ndarray, float]:
     return v / nrm, big * nrm
 
 
-def slope_to_directed(sl: SlopeLine) -> DirectedLine:
-    """Chart coordinates -> (u, foot).
+def slope_to_directed(a, b, p, q) -> DirectedLine:
+    """The line(s) x = a z + p, y = b z + q as (u, foot).
 
-    The direction is (a, b, 1)/sqrt(1 + a^2 + b^2) (always pointing to
-    z > 0) and the foot is the projection of (p, q, 0) onto the plane
-    orthogonal to u.
+    a, b, p, q are finite floats or (n,) arrays of one shape.  The direction
+    is (a, b, 1)/sqrt(1 + a^2 + b^2) (always pointing to z > 0) and the foot
+    is the projection of (p, q, 0) onto the plane orthogonal to u.
     """
-    a, b, p, q = sl.a, sl.b, sl.p, sl.q
+    a, b, p, q = (np.asarray(v, dtype=np.float64) for v in (a, b, p, q))
+    if not a.shape == b.shape == p.shape == q.shape or a.ndim > 1:
+        raise ValueError("a, b, p, q must be scalars or 1-d of one shape")
+    if not all(np.all(np.isfinite(v)) for v in (a, b, p, q)):
+        raise ValueError("slope coordinates must be finite")
     s = np.sqrt(1.0 + a * a + b * b)
     u = np.stack([a / s, b / s, 1.0 / s], axis=-1)
     v = np.stack([p, q, np.zeros_like(p)], axis=-1)
@@ -230,3 +206,5 @@ def write_lines(fh, parts, manifest: dict, fmt: str) -> None:
         raise ValueError(f"unknown line format {fmt!r}")
     for chunk in chunks:
         fh.write(chunk)
+        # drop this block's text before the next one is formatted
+        del chunk

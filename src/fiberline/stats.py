@@ -23,7 +23,7 @@ from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
 from .geometry import Ball, ConvexBody, bounding_radius, chord, \
     surface_area, volume
 from .haar import sample_sphere2
-from .linespace import DirectedLine, SlopeLine, slope_to_directed
+from .linespace import DirectedLine, slope_to_directed
 from .randkit import RngStream
 
 __all__ = [
@@ -381,28 +381,19 @@ def slope_importance_experiment(
     rng: RngStream,
     n: int,
     *,
-    proposal: str = "hemisphere",
     pq_halfwidth: float | None = None,
-    return_samples: bool = False,
-):
+) -> tuple[Estimate, np.ndarray, np.ndarray]:
     """Mean chord of the unit ball by importance sampling in the slope chart.
 
-    Directions come from ``proposal``:
-
-    - ``"hemisphere"``: uniform on the upper hemisphere, giving slope density
-      proportional to (1 + a^2 + b^2)^(-3/2);
-    - ``"target"``: cosine-weighted hemisphere, matching the invariant
-      measure's direction marginal exactly (slope density proportional to
-      (1 + a^2 + b^2)^-2), so weights are constant when the intercept box is
-      fixed.
-
-    Intercepts (p, q) are uniform in a square of halfwidth ``pq_halfwidth``;
-    the default (None) scales the square per direction to
-    sqrt(1 + a^2 + b^2), which is the exact reach of unit-ball-hitting lines
-    in the chart — a fixed halfwidth of 2 silently drops steep hitting lines
-    and biases the estimate upward.  Weights are the invariant density
+    Directions are uniform on the upper hemisphere, giving slope density
+    proportional to (1 + a^2 + b^2)^(-3/2).  Intercepts (p, q) are uniform
+    in a square of halfwidth ``pq_halfwidth``; the default (None) scales the
+    square per direction to sqrt(1 + a^2 + b^2), which is the exact reach of
+    unit-ball-hitting lines in the chart — a fixed halfwidth of 2 silently
+    drops steep hitting lines and biases the estimate upward.  Weights are the invariant density
     (1 + a^2 + b^2)^-2 over the proposal density, self-normalized over the
-    hitting subsample.
+    hitting subsample.  Returns the estimate, and the chords and weights of
+    the hitting lines.
 
     Raises NoHits when nothing hits and DegenerateWeights when the effective
     sample size of the hitting weights falls below n/1000.
@@ -410,24 +401,12 @@ def slope_importance_experiment(
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    if proposal == "hemisphere":
-        d = sample_sphere2(rng, n)
-        uz = np.maximum(np.abs(d[:, 2]), 1e-300)  # fold; dodge exact equator
-        a = d[:, 0] / uz
-        b = d[:, 1] / uz
-        s = np.sqrt(1.0 + a * a + b * b)
-        w_dir = 1.0 / s  # measure s^-4 over proposal s^-3
-    elif proposal == "target":
-        u = rng.uniforms(2 * n)
-        z = np.sqrt(np.maximum(u[0::2], 1e-300))  # cos(theta) = sqrt(U)
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = 2.0 * np.pi * u[1::2]
-        a = rho * np.cos(phi) / z
-        b = rho * np.sin(phi) / z
-        s = np.sqrt(1.0 + a * a + b * b)
-        w_dir = np.ones(n, dtype=np.float64)  # proposal matches the measure
-    else:
-        raise ValueError(f"unknown proposal {proposal!r}")
+    d = sample_sphere2(rng, n)
+    uz = np.maximum(np.abs(d[:, 2]), 1e-300)  # fold; dodge exact equator
+    a = d[:, 0] / uz
+    b = d[:, 1] / uz
+    s = np.sqrt(1.0 + a * a + b * b)
+    w_dir = 1.0 / s  # measure s^-4 over proposal s^-3
     if pq_halfwidth is None:
         L = s  # smallest square certain to cover all unit-ball hits
     else:
@@ -436,21 +415,18 @@ def slope_importance_experiment(
         L = np.full(n, float(pq_halfwidth))
     pq = (2.0 * rng.uniforms(2 * n).reshape(n, 2) - 1.0) * L[:, None]
     w = w_dir * 4.0 * L * L
-    lines = slope_to_directed(SlopeLine(a, b, pq[:, 0], pq[:, 1]))
+    lines = slope_to_directed(a, b, pq[:, 0], pq[:, 1])
     ch = chord(Ball((0.0, 0.0, 0.0), 1.0), lines)
     hit = ch > 0.0
     if not np.any(hit):
         raise NoHits("no proposal line met the unit ball")
-    wh = w[hit]
+    ch, wh = ch[hit], w[hit]
     if effective_sample_size(wh) < n / 1000.0:
         raise DegenerateWeights(
             f"effective sample size {effective_sample_size(wh):.1f} "
             f"below {n / 1000.0:.1f}"
         )
-    est = weighted_estimate(ch[hit], wh)
-    if return_samples:
-        return est, ch[hit], wh
-    return est
+    return weighted_estimate(ch, wh), ch, wh
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,7 @@ def test_criterion_6_gauge_invariance():
 def test_criterion_7_slope_chart_equivalence():
     """Importance sampling in the slope chart reproduces the mean chord and
     the whole chord law of frame-based isotropic lines."""
-    est, ch, w = slope_importance_experiment(
-        make_rng(700), 1_000_000, return_samples=True
-    )
+    est, ch, w = slope_importance_experiment(make_rng(700), 1_000_000)
     ok_mean = abs(est.mean - 4.0 / 3.0) <= 3.0 * est.stderr
     resampled = resample_weighted(make_rng(701), ch, w, 100_000)
     iso = chord(UNIT_BALL, sample_isotropic(make_rng(702), 1.0, 200_000))
@@ -194,7 +192,7 @@ def test_criterion_9_hedgehog():
     worst_p = 1.0
     for base in bases:
         u = np.asarray(base)
-        t = tangent_from_ball(rng, u, 20_000)
+        t = tangent_from_ball(rng, np.broadcast_to(u, (20_000, 3)))
         # angles measured in an explicit orthonormal basis of the plane
         helper = np.array([0.0, 1.0, 0.0]) if abs(u[0]) > 0.9 else np.array([1.0, 0.0, 0.0])
         v1 = helper - np.dot(helper, u) * u

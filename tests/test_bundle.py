@@ -27,7 +27,6 @@ from fiberline.bundle import (
 from fiberline.errors import BoundViolated, NonFinite, RejectionStall
 from fiberline.geometry import Ball, chord
 from fiberline.haar import _rejection, sample_rotation
-from fiberline.linespace import DirectedLine
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
 
@@ -207,7 +206,7 @@ def test_bundle_frames_are_sample_rotation_rows():
     rng = make_rng(3)
     g, r = np.empty((n, 3, 3)), np.empty((n, 2))
     _rejection(rng, lambda k: (sample_rotation(rng, k), sample_disk(rng, 1.0, k)),
-               density.f, density.bound, (g, r), 1_000_000)
+               density.f, density.bound, (g, r))
     assert np.array_equal(pts.g.view(np.int64), g.view(np.int64))
     assert np.array_equal(pts.r.view(np.int64), r.view(np.int64))
 
@@ -277,10 +276,11 @@ def test_bundle_nonfinite():
         sample_bundle(make_rng(22), nan_row, 100)
 
 
-def test_bundle_stall():
+def test_bundle_stall(monkeypatch):
+    monkeypatch.setattr(fiberline.haar, "_STALL_PROPOSALS", 100_000)
     dead = LineDensity(lambda g, r: np.zeros(g.shape[0]), 1.0, 1.0)
     with pytest.raises(RejectionStall):
-        sample_bundle(make_rng(17), dead, 100, stall_proposals=100_000)
+        sample_bundle(make_rng(17), dead, 100)
 
 
 @pytest.mark.parametrize("density", [
@@ -288,11 +288,12 @@ def test_bundle_stall():
     lambda: radial_density(0.5, disk_radius=1e200),
     lambda: foot_tilt_density(4.0, disk_radius=1e308),
 ], ids=["radial-tiny-sigma", "radial-huge-radius", "foot-tilt-huge-radius"])
-def test_underflowing_density_stalls_without_warnings(density):
+def test_underflowing_density_stalls_without_warnings(density, monkeypatch):
     # the exponents overflow to -inf, and exp(-inf) = 0 is exact: the loop
     # stalls quietly (the suite turns numpy's RuntimeWarnings into errors)
+    monkeypatch.setattr(fiberline.haar, "_STALL_PROPOSALS", 100_000)
     with pytest.raises(RejectionStall):
-        sample_bundle(make_rng(17), density(), 100, stall_proposals=100_000)
+        sample_bundle(make_rng(17), density(), 100)
 
 
 def test_overflowing_density_is_still_nonfinite():
@@ -354,16 +355,3 @@ def test_cosine_scales_with_radius():
     ch = chord(Ball((0, 0, 0), 3.0), lines)
     rep = ks_test(ch, lambda x: ball_chord_cdf(x, 3.0))
     assert rep.p_value > 0.001
-
-
-def test_cosine_single_line_validated_once(monkeypatch):
-    shapes = []
-    check = DirectedLine.__post_init__
-
-    def counted(self):
-        shapes.append(np.shape(self.u))
-        check(self)
-
-    monkeypatch.setattr(DirectedLine, "__post_init__", counted)
-    line = sample_cosine_surface(make_rng(28), 1.0)
-    assert shapes == [(3,)] and not line.is_batch

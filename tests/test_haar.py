@@ -45,12 +45,6 @@ def test_sphere2_mean_vanishes():
     assert np.max(np.abs(np.mean(u, axis=0))) < 3e-3
 
 
-def test_sphere2_single_matches_batch():
-    a = sample_sphere2(make_rng(5))
-    b = sample_sphere2(make_rng(5), 1)
-    assert a.shape == (3,) and np.array_equal(a, b[0])
-
-
 def test_sphere3_coordinate_variance():
     """Each coordinate of a uniform unit quaternion has variance 1/4."""
     q = sample_sphere3(make_rng(3), N_BIG)
@@ -263,12 +257,14 @@ def test_tangent_orthogonal():
 
 def test_tangent_angles_uniform():
     rng = make_rng(26)
-    t = tangent_from_ball(rng, np.array([0.0, 0.0, 1.0]), N_KS)
+    t = tangent_from_ball(rng, np.broadcast_to([0.0, 0.0, 1.0], (N_KS, 3)))
     ang = np.arctan2(t[:, 1], t[:, 0])
     rep = ks_test(ang, lambda a: (np.clip(a, -np.pi, np.pi) + np.pi) / (2 * np.pi))
     assert rep.p_value > 0.001
 
 
-def test_tangent_batch_vs_n_modes():
+def test_tangent_takes_rows_only():
+    # one direction is one row: a bare (3,) vector is refused, not read as
+    # three directions
     with pytest.raises(ValueError):
-        tangent_from_ball(make_rng(27), np.zeros((4, 3)) + [0, 0, 1], 5)
+        tangent_from_ball(make_rng(27), np.array([0.0, 0.0, 1.0]))

@@ -13,7 +13,6 @@ from fiberline.errors import NotUnit
 from fiberline.haar import sample_rotation
 from fiberline.linespace import (
     DirectedLine,
-    SlopeLine,
     lines_to_records,
     point_at,
     slope_to_directed,
@@ -25,18 +24,18 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 
 def test_chart_origin_is_z_axis():
-    dl = slope_to_directed(SlopeLine(0.0, 0.0, 0.0, 0.0))
+    dl = slope_to_directed(0.0, 0.0, 0.0, 0.0)
     assert np.allclose(dl.u, EZ, atol=0) and np.allclose(dl.foot, 0.0, atol=0)
 
 
 def test_chart_diagonal():
-    dl = slope_to_directed(SlopeLine(1.0, 0.0, 0.0, 0.0))
+    dl = slope_to_directed(1.0, 0.0, 0.0, 0.0)
     assert np.allclose(dl.u, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
     assert np.allclose(dl.foot, 0.0, atol=1e-15)
 
 
 def test_chart_offsets_only():
-    dl = slope_to_directed(SlopeLine(0.0, 0.0, 1.0, 2.0))
+    dl = slope_to_directed(0.0, 0.0, 1.0, 2.0)
     assert np.allclose(dl.u, EZ, atol=0)
     assert np.allclose(dl.foot, [1.0, 2.0, 0.0], atol=0)
 
@@ -49,7 +48,7 @@ def test_chart_offsets_only():
 def test_chart_points_lie_on_line(a, b, p, q):
     """(p, q, 0) and (p+a, q+b, 1) are on the line by definition of the chart,
     which directs every line into z > 0."""
-    dl = slope_to_directed(SlopeLine(a, b, p, q))
+    dl = slope_to_directed(a, b, p, q)
     assert dl.u[2] > 0.0
     for z in (0.0, 1.0):
         pt = np.array([p + a * z, q + b * z, z])
@@ -67,8 +66,7 @@ def test_point_at():
 
 def test_foot_is_closest_point():
     rng = make_rng(1)
-    sl = SlopeLine(*(4.0 * (rng.uniforms(4) - 0.5)))
-    dl = slope_to_directed(sl)
+    dl = slope_to_directed(*(4.0 * (rng.uniforms(4) - 0.5)))
     t = np.linspace(-5.0, 5.0, 101)
     pts = point_at(dl, t)
     d = np.sqrt(np.sum(pts * pts, axis=1))
@@ -79,9 +77,8 @@ def test_rotation_equivariance():
     """Rotating (u, foot) by R gives the foot representation of the rotated
     line, because R preserves the orthogonality that defines the foot."""
     rng = make_rng(2)
-    sl = SlopeLine(*(2.0 * (rng.uniforms(4) - 0.5)))
-    dl = slope_to_directed(sl)
-    R = sample_rotation(rng)
+    dl = slope_to_directed(*(2.0 * (rng.uniforms(4) - 0.5)))
+    R = sample_rotation(rng, 1)[0]
     rotated = DirectedLine(R @ dl.u, R @ dl.foot)
     # two points of the rotated original must lie on `rotated`
     for t in (-1.7, 2.4):
@@ -99,9 +96,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         DirectedLine([0.0, 0.0, np.nan], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        SlopeLine(np.inf, 0.0, 0.0, 0.0)
+        slope_to_directed(np.inf, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        SlopeLine(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2))
+        slope_to_directed(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(2))
 
 
 # (rows to spoil: index -> (direction scale, foot shift along u, foot NaN)),

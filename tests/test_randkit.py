@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 import fiberline._blocks
-from fiberline import gaussian, make_rng, split, uniform01
 from fiberline.errors import FiberlineError
-from fiberline.randkit import RngStream
+from fiberline.randkit import RngStream, gaussian, make_rng, split, uniform01
 from fiberline.stats import ks_test
 
 

@@ -6,10 +6,13 @@ definition its code names: in its own module, through a relative import, or
 as an attribute of an imported module.  The roots are ``cli.main``, every
 name ``tests/test_acceptance.py`` imports, and ``ORACLES``.  A name in a
 public module's ``__all__`` that no root reaches has no caller that runs an
-experiment, and fails the guard.
+experiment, and fails the guard.  The package itself binds only its
+submodules, so no top-level alias is a second copy of a public name.
 """
+import __future__
 import ast
 import pathlib
+import types
 
 import fiberline
 
@@ -103,6 +106,18 @@ def _acceptance_roots() -> set[tuple[str, str]]:
             mod = node.module.split(".", 1)[1]
             roots.update((mod, alias.name) for alias in node.names)
     return roots
+
+
+def test_package_binds_only_its_submodules():
+    # each public name lives in its submodule alone; a top-level alias would
+    # be a second copy that the graph above does not read
+    submodules = {"errors", "randkit", "haar", "linespace", "bundle",
+                  "geometry", "stats"}
+    assert sorted(fiberline.__all__) == sorted({"__version__"} | submodules)
+    aliases = [name for name, value in vars(fiberline).items()
+               if not name.startswith("_") and value is not __future__.annotations
+               and not isinstance(value, types.ModuleType)]
+    assert aliases == []
 
 
 def test_every_public_name_is_reached():

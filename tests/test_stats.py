@@ -25,7 +25,8 @@ from fiberline.errors import (
     NoHits,
     TooFewSamples,
 )
-from fiberline.geometry import Ball, Box, chord
+from fiberline.geometry import Ball, Box, Halfspaces, chord, surface_area, \
+    volume
 from fiberline.randkit import make_rng
 from fiberline.stats import (
     BERTRAND_METHODS,
@@ -370,6 +371,28 @@ def test_expected_chord_identity():
     assert abs(est.mean - expect) < 3.0 * est.stderr
 
 
+# the centred regular tetrahedron with faces at distance 1/sqrt(3), as in
+# the golden chord tests; its vertices lie at distance sqrt(3) < 1.8
+_TETRAHEDRON = Halfspaces(
+    np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0),
+    np.full(4, 1.0 / math.sqrt(3.0)))
+
+
+@pytest.mark.parametrize("body, radius, seed", [
+    (UNIT_BALL, 2.0, 7),
+    (Box((0, 0, 0), (1, 1, 1)), 1.8, 8),
+    (Box((-0.5, -1.0, -1.5), (0.5, 1.0, 1.5)), 2.0, 9),
+    (_TETRAHEDRON, 1.8, 10),
+], ids=["ball", "cube", "box123", "tetrahedron"])
+def test_fourth_moment_chord_law(body, radius, seed):
+    """E[chord^4 | hit] = 12 V^2 / (pi S) for every convex body; for the
+    unit ball that is 16/3, the fourth moment of the chord density x/2."""
+    ch = isotropic_chords(make_rng(seed), body, 1_000_000, radius)
+    est = estimate_from_samples(ch[ch > 0.0] ** 4)
+    want = 12.0 * volume(body) ** 2 / (np.pi * surface_area(body))
+    assert abs(est.mean - want) < 3.0 * est.stderr
+
+
 def test_insufficient_radius():
     with pytest.raises(InsufficientRadius):
         mean_chord_experiment(make_rng(19), UNIT_BALL, 100, 0.5)
@@ -385,28 +408,13 @@ def test_no_hits():
 # slope-chart importance sampling
 
 def test_slope_experiment_unbiased():
-    est = slope_importance_experiment(make_rng(21), 200_000)
+    est, _, _ = slope_importance_experiment(make_rng(21), 200_000)
     assert abs(est.mean - 4.0 / 3.0) < 3.0 * est.stderr
-
-
-def test_slope_experiment_target_proposal():
-    est = slope_importance_experiment(make_rng(22), 200_000, proposal="target")
-    assert abs(est.mean - 4.0 / 3.0) < 3.0 * est.stderr
-
-
-def test_target_proposal_fixed_box_weights_are_flat():
-    """Cosine-weighted directions exactly cancel the chart density, so with a
-    fixed intercept box every weight is the same constant."""
-    _, _, w = slope_importance_experiment(
-        make_rng(23), 20_000, proposal="target", pq_halfwidth=2.0,
-        return_samples=True,
-    )
-    assert float(np.var(w)) < 1e-20
 
 
 def test_resampled_chords_match_isotropic():
     rng = make_rng(24)
-    _, ch, w = slope_importance_experiment(rng, 200_000, return_samples=True)
+    _, ch, w = slope_importance_experiment(rng, 200_000)
     resampled = resample_weighted(rng, ch, w, 50_000)
     iso = chord(UNIT_BALL, sample_isotropic(make_rng(25), 1.0, 100_000))
     assert ks_two_sample(resampled, iso[iso > 0]).p_value > 0.001
@@ -422,8 +430,6 @@ def test_degenerate_weights_detected():
 def test_slope_experiment_rejects_bad_args():
     with pytest.raises(ValueError):
         slope_importance_experiment(make_rng(27), 0)
-    with pytest.raises(ValueError):
-        slope_importance_experiment(make_rng(27), 100, proposal="grid")
     with pytest.raises(ValueError):
         slope_importance_experiment(make_rng(27), 100, pq_halfwidth=-1.0)
 

@@ -121,10 +121,12 @@ def test_writer_memory_does_not_grow_with_n(fmt, monkeypatch):
     assert peak_big - peak_small < 6 * block * 6 * 8 / 2
 
 
-def test_json_separators_copy_no_block_text():
-    # writing three blocks peaks about 1.05x as high as writing one; a
-    # writer that copies each later block's text, to put ",\n" before it,
-    # peaks about 1.3x as high
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_json_separators_copy_no_block_text(fmt):
+    # writing three blocks peaks as high as writing one; a writer that
+    # copies each later block's text, to put ",\n" before it, peaks about
+    # 1.3x as high, and one that holds the last block's text while it
+    # formats the next peaks 1.24x (csv) or 1.05x (json) as high
     lines = sample_isotropic(make_rng(SEED), 1.0, 3 * DEFAULT_BLOCK)
     one = DirectedLine(lines.u[:DEFAULT_BLOCK], lines.foot[:DEFAULT_BLOCK])
-    assert _traced_peak(lines, "json") <= 1.15 * _traced_peak(one, "json")
+    assert _traced_peak(lines, fmt) <= 1.1 * _traced_peak(one, fmt)
