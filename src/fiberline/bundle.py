@@ -25,8 +25,9 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
-from .haar import _count, _cube_rejection, _rejection, quat_to_rotation, \
-    sample_sphere2, tangent_from_ball
+from .haar import _ROTATION, _count, _cube_rejection, _rejection, \
+    _unit_columns, _unit_norms, quat_to_rotation, sample_sphere2, \
+    tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -181,8 +182,9 @@ def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
     Draws uniformly random frames, then uniform offsets in the disk.  Every
     line meeting the ball of that radius is reachable, with density constant
     in the invariant measure.
-    The frames are drawn as quaternions and turned into lines one block at a
-    time, so no (n, 3, 3) frame array is built.
+    The frames are drawn as quaternions, and each block of them is turned
+    into lines entry by entry: the bits of ``_project_arrays(
+    quat_to_rotation(q), r)``, with its unit check, but no frame is built.
     """
     m = _count(n)
     # looked up on haar at call time: replacing haar.sample_sphere3 replaces
@@ -192,7 +194,12 @@ def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
     u = np.empty((m, 3), dtype=np.float64)
     foot = np.empty((m, 3), dtype=np.float64)
     for s in blocks(m):
-        u[s], foot[s] = _project_arrays(quat_to_rotation(q[s]), r[s])
+        qs = _unit_columns(q[s], _unit_norms(q[s], "quaternion"))
+        r1, r2 = r[s, 0], r[s, 1]
+        # row i of the frame: u = column 2, foot = r1 column 0 + r2 column 1
+        for i, (c0, c1, c2) in enumerate(_ROTATION):
+            u[s, i] = c2(*qs)
+            foot[s, i] = r1 * c0(*qs) + r2 * c1(*qs)
     return DirectedLine(u, foot)
 
 

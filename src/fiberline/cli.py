@@ -24,7 +24,6 @@ import math
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -118,6 +117,8 @@ def _run_shards(seed: int, threads: int, n: int, fn) -> list:
     streams = [split(make_rng(seed), i + 1) for i in range(k)]
     if k == 1:
         return [fn(streams[0], sizes[0])]
+    # imported here: one shard, the default, needs no pool
+    from concurrent.futures import ThreadPoolExecutor
     # results keep stream order however many workers run the shards
     with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as ex:
         return list(ex.map(fn, streams, sizes))

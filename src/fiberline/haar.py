@@ -1,12 +1,14 @@
 """Uniform sampling on S^2, S^3 and SO(3), plus frame utilities.
 
 Rotations are sampled by normalizing 4 gaussians to a unit quaternion
-(uniform on S^3) and pushing through the standard quaternion-to-matrix map;
-the two preimages q and -q give the same rotation.
+(uniform on S^3) and pushing through the standard quaternion-to-matrix map,
+whose nine entries live in ``_ROTATION`` only; the two preimages q and -q
+give the same rotation.
 
-Every draw ends in one of two kernels: ``_redraw`` draws rejected geometric
-candidates again (cube points outside the ball, vectors too short to
-normalize), and ``_rejection`` keeps proposals with probability f/bound.
+Every draw ends in one of two kernels: ``_redraw`` stores every candidate a
+draw makes and draws the rejected rows again (cube points outside the ball,
+vectors too short to normalize), and ``_rejection`` keeps proposals with
+probability f/bound.
 
 Every sampler takes a count n and returns a batch with a leading axis of
 length n.
@@ -55,8 +57,9 @@ def _count(n: int) -> int:
 def _redraw(m: int, dim: int, draw: Callable,
             sequential: bool = False) -> np.ndarray:
     """m rows in R^dim: ``draw(rows)`` makes one candidate for each row index
-    in ``rows`` and returns the keep mask and the kept rows; rejected rows
-    are drawn again.
+    in ``rows`` and returns the keep mask and all the candidates.  Every
+    candidate is stored, and the rejected rows are drawn again until kept,
+    so later passes overwrite what a rejected candidate left.
 
     A ``sequential`` draw reads the stream in row order and depends on the
     rows only through their count, so its first pass runs block by block on
@@ -67,26 +70,23 @@ def _redraw(m: int, dim: int, draw: Callable,
     rejected = []
     for s in (blocks(m) if sequential else (slice(0, m),)):
         rows = np.arange(s.start, s.stop)
-        ok, kept = draw(rows)
-        if len(kept) == len(rows):
-            out[s] = kept
-        else:
-            out[rows[ok]] = kept
+        ok, out[s] = draw(rows)
+        if not ok.all():
             rejected.append(rows[~ok])
     pending = np.concatenate(rejected) if rejected else np.arange(0)
     while pending.size:
-        ok, kept = draw(pending)
-        out[pending[ok]] = kept
+        ok, out[pending] = draw(pending)
         pending = pending[~ok]
     return out
 
 
 def _normalized(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep mask of the rows of v longer than _TINY_NORM, and those rows
-    scaled to unit length."""
+    """Keep mask of the rows of v longer than _TINY_NORM, and v with its
+    rows scaled to unit length in place (rejected rows hold any value)."""
     nrm = np.sqrt(dot(v, v))
-    ok = nrm > _TINY_NORM
-    return ok, v[ok] / nrm[ok, None]
+    with np.errstate(all="ignore"):
+        v /= nrm[:, None]
+    return nrm > _TINY_NORM, v
 
 
 def _unit_gaussians(rng: RngStream, m: int, dim: int) -> np.ndarray:
@@ -115,9 +115,10 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     pi/6.
     """
     def draw(rows):
-        c = 2.0 * rng.uniforms(dim * rows.size).reshape(-1, dim) - 1.0
-        ok = dot(c, c) <= 1.0
-        return ok, c[ok]
+        c = rng.uniforms(dim * rows.size).reshape(-1, dim)
+        c *= 2.0
+        c -= 1.0
+        return dot(c, c) <= 1.0, c
 
     return _redraw(m, dim, draw, sequential=True)
 
@@ -152,22 +153,33 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     nrm = _unit_norms(rows, "quaternion")
     R = np.empty((len(rows), 3, 3), dtype=np.float64)
     for s in blocks(len(rows)):
-        _fill_rotation(R[s], rows[s] / nrm[s, None])
+        qs = _unit_columns(rows[s], nrm[s])
+        for i in range(3):
+            for j in range(3):
+                R[s, i, j] = _ROTATION[i][j](*qs)
     return R.reshape(q.shape[:-1] + (3, 3))
 
 
-def _fill_rotation(R: np.ndarray, q: np.ndarray) -> None:
-    """Write R(q) into the (m, 3, 3) array R for unit quaternion rows q."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    R[:, 0, 1] = 2.0 * (x * y - w * z)
-    R[:, 0, 2] = 2.0 * (x * z + w * y)
-    R[:, 1, 0] = 2.0 * (x * y + w * z)
-    R[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    R[:, 1, 2] = 2.0 * (y * z - w * x)
-    R[:, 2, 0] = 2.0 * (x * z - w * y)
-    R[:, 2, 1] = 2.0 * (y * z + w * x)
-    R[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+def _unit_columns(q: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """The (4, m) components (w, x, y, z) of the (m, 4) quaternion rows q,
+    each divided by its row's norm ``nrm``."""
+    out = np.empty((4, len(q)), dtype=np.float64)
+    np.divide(q.T, nrm, out=out)
+    return out
+
+
+# entry (i, j) of R(q) as a function of the unit quaternion's components
+_ROTATION = (
+    (lambda w, x, y, z: 1.0 - 2.0 * (y * y + z * z),
+     lambda w, x, y, z: 2.0 * (x * y - w * z),
+     lambda w, x, y, z: 2.0 * (x * z + w * y)),
+    (lambda w, x, y, z: 2.0 * (x * y + w * z),
+     lambda w, x, y, z: 1.0 - 2.0 * (x * x + z * z),
+     lambda w, x, y, z: 2.0 * (y * z - w * x)),
+    (lambda w, x, y, z: 2.0 * (x * z - w * y),
+     lambda w, x, y, z: 2.0 * (y * z + w * x),
+     lambda w, x, y, z: 1.0 - 2.0 * (x * x + y * y)),
+)
 
 
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

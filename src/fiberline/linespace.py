@@ -85,10 +85,12 @@ def _check_rows(u: np.ndarray, foot: np.ndarray) -> None:
         nrm = np.hypot(np.hypot(fb[:, 0], fb[:, 1]), fb[:, 2])
         return ~(along(s) <= np.maximum(_FOOT_TOL, _FOOT_REL_TOL * nrm))
 
-    if blocked_max(n, off):
+    # no row fails while every |u . foot| is within _FOOT_TOL, and then the
+    # hypot pass is skipped
+    worst = blocked_max(n, along)
+    if not worst <= _FOOT_TOL and blocked_max(n, off):
         raise ValueError(
-            f"foot not orthogonal to direction (|u.foot| up to "
-            f"{blocked_max(n, along):.3e})"
+            f"foot not orthogonal to direction (|u.foot| up to {worst:.3e})"
         )
 
 

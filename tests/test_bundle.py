@@ -12,6 +12,7 @@ import fiberline.haar
 from fiberline.bundle import (
     BundlePoint,
     LineDensity,
+    _project_arrays,
     act,
     foot_tilt_density,
     project_to_line,
@@ -24,9 +25,9 @@ from fiberline.bundle import (
     tilt_radial_density,
     uniform_density,
 )
-from fiberline.errors import BoundViolated, NonFinite, RejectionStall
+from fiberline.errors import BoundViolated, NonFinite, NotUnit, RejectionStall
 from fiberline.geometry import Ball, chord
-from fiberline.haar import _rejection, sample_rotation
+from fiberline.haar import _rejection, quat_to_rotation, sample_rotation
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
 
@@ -166,6 +167,65 @@ def test_isotropic_lines_build_no_whole_batch_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * (lines.u.nbytes + lines.foot.nbytes)
+
+
+def _lines_through_frames(rng, radius, n):
+    # the reference: each block of quaternions made into (k, 3, 3) frames,
+    # then projected
+    q = fiberline.haar.sample_sphere3(rng, n)
+    r = sample_disk(rng, radius, n)
+    u, foot = np.empty((n, 3)), np.empty((n, 3))
+    for s in fiberline._blocks.blocks(n):
+        u[s], foot[s] = _project_arrays(quat_to_rotation(q[s]), r[s])
+    return u, foot
+
+
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+def test_isotropic_lines_are_the_projected_frames(block, monkeypatch):
+    # no frame is built, yet every bit and every stream word is the same
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    n = 3 * block + 5 if block > 1 else 200
+    rng, ref = make_rng(12), make_rng(12)
+    lines = sample_isotropic(rng, 1.5, n)
+    u, foot = _lines_through_frames(ref, 1.5, n)
+    assert np.array_equal(lines.u.view(np.int64), u.view(np.int64))
+    assert np.array_equal(lines.foot.view(np.int64), foot.view(np.int64))
+    assert rng._counter == ref._counter
+
+
+def _spoiled_quaternions(monkeypatch, spoil):
+    real = fiberline.haar.sample_sphere3
+
+    def draw(rng, k):
+        q = real(rng, k)
+        spoil(q)
+        return q
+
+    monkeypatch.setattr(fiberline.haar, "sample_sphere3", draw)
+
+
+def _scaled(q):
+    q *= 1.0 + 1e-6
+
+
+def _nan_row(q):
+    q[3, 2] = np.nan
+
+
+@pytest.mark.parametrize("spoil", [_scaled, _nan_row])
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+def test_isotropic_lines_check_quaternions_as_frames_do(spoil, block,
+                                                        monkeypatch):
+    # quaternions off the unit sphere, or NaN (which a plain max over block
+    # maxima would drop), fail with quat_to_rotation's error
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    _spoiled_quaternions(monkeypatch, spoil)
+    with pytest.raises(NotUnit) as want:
+        _lines_through_frames(make_rng(13), 1.0, 100)
+    with pytest.raises(NotUnit) as got:
+        sample_isotropic(make_rng(13), 1.0, 100)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("quaternion norm off by")
 
 
 def test_density_sees_one_block_at_a_time():

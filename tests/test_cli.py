@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: output schema, exit codes, reproducibility."""
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -129,14 +130,16 @@ def test_threads_pool_bounded_by_cpu_count(capsys, monkeypatch):
     # 64 shards, but no more worker threads than the machine has CPUs
     args = ["sample", "--n", "64", "--seed", "5", "--threads", "64"]
     asked = []
-    real_pool = fiberline.cli.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         asked.append(max_workers)
         return real_pool(max_workers=max_workers)
 
+    # the CLI imports the pool class when it needs one, so the spy sits on
+    # its module
     with monkeypatch.context() as mp:
-        mp.setattr(fiberline.cli, "ThreadPoolExecutor", recording_pool)
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         _, recorded, _ = _run(capsys, args)
     _, plain, _ = _run(capsys, args)
     assert asked and all(1 <= k <= (os.cpu_count() or 1) for k in asked)
@@ -587,8 +590,10 @@ def test_reader_closing_stdout_early_is_not_an_error(argv):
 
 def test_no_scipy_import_outside_haar_test():
     # scipy costs a quarter second to import; only haar-test's chi-square
-    # test and halfspace bodies need it
-    check = "import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
+    # test and halfspace bodies need it.  The thread pool's module costs
+    # about 7 ms, and only --threads above 1 needs it
+    check = ("import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
+             "assert 'concurrent.futures' not in sys.modules, 'pool imported'\n")
     proc = subprocess.run(
         [sys.executable, "-c", "import fiberline.cli\n" + check],
         capture_output=True, text=True,

@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+import fiberline._blocks
+import fiberline.haar
+from fiberline._blocks import blocks, dot
 from fiberline.bundle import sample_bundle, tilt_density, uniform_density
 from fiberline.errors import NotUnit, PoleSingularity
 from fiberline.haar import (
@@ -268,3 +271,94 @@ def test_tangent_takes_rows_only():
     # three directions
     with pytest.raises(ValueError):
         tangent_from_ball(make_rng(27), np.array([0.0, 0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the redraw kernel against the keep-only loop it replaced
+
+
+def _kept_redraw(m, dim, draw, sequential=False):
+    # the keep-only loop: draws return the keep mask and the kept rows only,
+    # which are scattered into place
+    out = np.empty((m, dim), dtype=np.float64)
+    rejected = []
+    for s in (blocks(m) if sequential else (slice(0, m),)):
+        rows = np.arange(s.start, s.stop)
+        ok, kept = draw(rows)
+        if len(kept) == len(rows):
+            out[s] = kept
+        else:
+            out[rows[ok]] = kept
+            rejected.append(rows[~ok])
+    pending = np.concatenate(rejected) if rejected else np.arange(0)
+    while pending.size:
+        ok, kept = draw(pending)
+        out[pending[ok]] = kept
+        pending = pending[~ok]
+    return out
+
+
+def _kept_normalized(v):
+    nrm = np.sqrt(dot(v, v))
+    ok = nrm > fiberline.haar._TINY_NORM
+    return ok, v[ok] / nrm[ok, None]
+
+
+def _kept_cube(rng, m, dim):
+    def draw(rows):
+        c = 2.0 * rng.uniforms(dim * rows.size).reshape(-1, dim) - 1.0
+        ok = dot(c, c) <= 1.0
+        return ok, c[ok]
+
+    return _kept_redraw(m, dim, draw, sequential=True)
+
+
+def _kept_sphere3(rng, m):
+    return _kept_redraw(m, 4, lambda rows: _kept_normalized(
+        rng.gaussians(4 * rows.size).reshape(-1, 4)), sequential=True)
+
+
+def _kept_tangent(rng, u):
+    us = u / np.sqrt(dot(u, u))[:, None]
+
+    def draw(pending):
+        b = _kept_cube(rng, pending.size, 3)
+        ub = us[pending]
+        return _kept_normalized(b - dot(b, ub)[:, None] * ub)
+
+    return _kept_redraw(len(us), 3, draw)
+
+
+_DIRECTIONS = sample_sphere2(make_rng(30), 1000)
+# case -> (draw, oracle, norm floor); a floor of 0.5 rejects about a third
+# of the tangent rows and 1 in 150 of the gaussian ones, so the redraw passes
+# of _normalized run too
+_REDRAWS = {
+    "cube-2": (lambda rng: _cube_rejection(rng, 1000, 2),
+               lambda rng: _kept_cube(rng, 1000, 2), None),
+    "cube-3": (lambda rng: _cube_rejection(rng, 1000, 3),
+               lambda rng: _kept_cube(rng, 1000, 3), None),
+    "sphere3": (lambda rng: sample_sphere3(rng, 1000),
+                lambda rng: _kept_sphere3(rng, 1000), None),
+    "sphere3-floor": (lambda rng: sample_sphere3(rng, 1000),
+                      lambda rng: _kept_sphere3(rng, 1000), 0.5),
+    "tangent": (lambda rng: tangent_from_ball(rng, _DIRECTIONS),
+                lambda rng: _kept_tangent(rng, _DIRECTIONS), None),
+    "tangent-floor": (lambda rng: tangent_from_ball(rng, _DIRECTIONS),
+                      lambda rng: _kept_tangent(rng, _DIRECTIONS), 0.5),
+}
+
+
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+@pytest.mark.parametrize("case", sorted(_REDRAWS))
+def test_redraw_keeps_the_bits_of_the_keep_only_loop(case, block, monkeypatch):
+    # storing every candidate and overwriting the rejected ones later gives
+    # the values and stream words of scattering only the kept rows
+    draw, oracle, floor = _REDRAWS[case]
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    if floor is not None:
+        monkeypatch.setattr(fiberline.haar, "_TINY_NORM", floor)
+    rng, ref = make_rng(31), make_rng(31)
+    got, want = draw(rng), oracle(ref)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng._counter == ref._counter

@@ -158,6 +158,27 @@ def test_foot_tolerance_scales_with_foot():
         DirectedLine(np.tile(EZ, (2, 1)), [1e8 * ex, ex + 2e-9 * EZ])
 
 
+@pytest.mark.parametrize("block", [4, fiberline._blocks._BLOCK])
+def test_far_feet_above_the_absolute_bound_still_pass(block, monkeypatch):
+    # |u . foot| past 1e-9 sends the check on to the relative bound: the far
+    # row (|u . foot| 1e-4 at |foot| 1e8) passes there, and the message of a
+    # row past both bounds carries the worst |u . foot| of all rows, the far
+    # row's
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    ex = np.array([1.0, 0.0, 0.0])
+    u = np.tile(EZ, (12, 1))
+    foot = np.tile(0.5 * ex, (12, 1))
+    foot[6] = 1e8 * ex + 1e-4 * EZ
+    DirectedLine(u, foot)
+    foot[9] += 2e-9 * EZ
+    worst = np.max(np.abs(np.sum(u * foot, axis=1)))
+    with pytest.raises(ValueError) as exc:
+        DirectedLine(u, foot)
+    assert str(exc.value) == ("foot not orthogonal to direction "
+                              f"(|u.foot| up to {worst:.3e})")
+    assert "up to 1.000e-04" in str(exc.value)
+
+
 def test_foot_tolerance_survives_huge_feet():
     # an unscaled |foot| overflows beyond ~1.3e154, and an infinite bound
     # would accept any foot
