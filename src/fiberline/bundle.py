@@ -187,20 +187,31 @@ def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
     quat_to_rotation(q), r)``, with its unit check, but no frame is built.
     """
     m = _count(n)
+    u = np.empty((m, 3), dtype=np.float64)
+    foot = np.empty((m, 3), dtype=np.float64)
+    for s, us, fs in _isotropic_blocks(rng, radius, m):
+        u[s], foot[s] = us, fs
+    return DirectedLine(u, foot)
+
+
+def _isotropic_blocks(rng: RngStream, radius: float, m: int):
+    """``sample_isotropic``'s m lines as (slice, u, foot), one block at a
+    time.  The quaternions and then the offsets are drawn whole, as their
+    stream order requires; no line table of all m rows is built."""
     # looked up on haar at call time: replacing haar.sample_sphere3 replaces
     # these frames too
     q = haar.sample_sphere3(rng, m)
     r = sample_disk(rng, radius, m)
-    u = np.empty((m, 3), dtype=np.float64)
-    foot = np.empty((m, 3), dtype=np.float64)
     for s in blocks(m):
         qs = _unit_columns(q[s], _unit_norms(q[s], "quaternion"))
         r1, r2 = r[s, 0], r[s, 1]
+        u = np.empty((len(r1), 3), dtype=np.float64)
+        foot = np.empty((len(r1), 3), dtype=np.float64)
         # row i of the frame: u = column 2, foot = r1 column 0 + r2 column 1
         for i, (c0, c1, c2) in enumerate(_ROTATION):
-            u[s, i] = c2(*qs)
-            foot[s, i] = r1 * c0(*qs) + r2 * c1(*qs)
-    return DirectedLine(u, foot)
+            u[:, i] = c2(*qs)
+            foot[:, i] = r1 * c0(*qs) + r2 * c1(*qs)
+        yield s, u, foot
 
 
 def sample_bundle(rng: RngStream, density: LineDensity, n: int) -> BundlePoint:

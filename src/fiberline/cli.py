@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._blocks import dot
+from ._blocks import blocks, dot
 from .bundle import (
     LineDensity,
     foot_tilt_density,
@@ -288,9 +288,12 @@ def _cmd_haar_test(args, argv: list[str]) -> dict:
         _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: sample_sphere3(st, m))
     )
-    R = quat_to_rotation(q)
-    angles = rotation_angle(R)
-    uz = R[:, :, 2]  # pushforward of e_z
+    angles = np.empty(len(q), dtype=np.float64)
+    uz = np.empty((len(q), 3), dtype=np.float64)  # pushforward of e_z
+    # one block of frames at a time: the tests reduce only these two
+    for s in blocks(len(q)):
+        R = quat_to_rotation(q[s])
+        angles[s], uz[s] = rotation_angle(R), R[:, :, 2]
     tests = {
         "rotation_angle_ks": ks_test(angles, rotation_angle_cdf),
         "quaternion_w_ks": ks_test(q[:, 0], s3_w_cdf),

@@ -15,14 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from ._blocks import dot
-from .bundle import _project_arrays, _spin, _turn, LineDensity, \
-    project_to_line, sample_bundle, sample_disk, sample_isotropic
+from ._blocks import blocks, dot
+from .bundle import _isotropic_blocks, _project_arrays, _spin, _turn, \
+    LineDensity, project_to_line, sample_bundle, sample_disk
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
     TooFewSamples
 from .geometry import Ball, ConvexBody, bounding_radius, chord, \
     surface_area, volume
-from .haar import sample_sphere2
+from .haar import _count, sample_sphere2
 from .linespace import DirectedLine, slope_to_directed
 from .randkit import RngStream
 
@@ -297,18 +297,22 @@ def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    if method == "midpoint":
-        mid = sample_disk(rng, 1.0, n)
-        return (dot(mid, mid) < 0.25).astype(np.float64)
-    u = rng.uniforms(2 * n)
-    if method == "endpoints":
-        d = np.abs(u[0::2] - u[1::2])
-        hit = (d > 1.0 / 3.0) & (d <= 2.0 / 3.0)  # fl(2/3) < 2/3
-    elif method == "radial":
-        hit = u[1::2] < 0.5
-    else:  # line-measure
-        hit = np.abs(2.0 * u[1::2] - 1.0) < 0.5
-    return hit.astype(np.float64)
+    # the disk is drawn whole: its redraws follow its whole first pass
+    mid = sample_disk(rng, 1.0, n) if method == "midpoint" else None
+    out = np.empty(n, dtype=np.float64)
+    for s in blocks(n):
+        if method == "midpoint":
+            out[s] = dot(mid[s], mid[s]) < 0.25
+            continue
+        u = rng.uniforms(2 * (s.stop - s.start))  # the same words, in order
+        if method == "endpoints":
+            d = np.abs(u[0::2] - u[1::2])
+            out[s] = (d > 1.0 / 3.0) & (d <= 2.0 / 3.0)  # fl(2/3) < 2/3
+        elif method == "radial":
+            out[s] = u[1::2] < 0.5
+        else:  # line-measure
+            out[s] = np.abs(2.0 * u[1::2] - 1.0) < 0.5
+    return out
 
 
 def bertrand_experiment(rng: RngStream, method: str, n: int) -> Estimate:
@@ -352,10 +356,19 @@ def isotropic_chords(
 ) -> np.ndarray:
     """Chord lengths (0 = miss) of n invariant-measure lines through the
     sampling ball of the given radius.  InsufficientRadius if that ball does
-    not contain the body."""
+    not contain the body.
+
+    The lines are those of ``sample_isotropic``, bit for bit, but each block
+    is checked as its own DirectedLine and clipped at once, so no line table
+    of all n rows is built.  A failed check therefore reports the worst
+    value of its block, where ``sample_isotropic`` reports that of all rows.
+    """
     _require_radius(body, radius)
-    lines = sample_isotropic(rng, radius, int(n))
-    return chord(body, lines)
+    m = _count(n)
+    out = np.empty(m, dtype=np.float64)
+    for s, u, foot in _isotropic_blocks(rng, radius, m):
+        out[s] = chord(body, DirectedLine(u, foot))
+    return out
 
 
 def mean_chord_experiment(

@@ -5,12 +5,14 @@ constants, so a wrong closed form in the library cannot cancel against a
 wrong expectation in the tests.
 """
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 
+import fiberline._blocks
 from fiberline.bundle import (
     BundlePoint,
     foot_tilt_density,
@@ -317,6 +319,40 @@ def test_bertrand_events_match_chord_lengths(method):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+@pytest.mark.parametrize("method", BERTRAND_METHODS)
+def test_bertrand_events_do_not_depend_on_block(method, block, monkeypatch):
+    # each event depends on its own words alone, so blocks change no event
+    # and no stream word
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    n = 3 * block + 5 if block > 1 else 200
+    rng, ref = make_rng(21), make_rng(21)
+    got = bertrand_indicators(rng, method, n)
+    want = _bertrand_chords(method, ref, n) > math.sqrt(3.0)
+    assert np.array_equal(got, want.astype(np.float64))
+    assert rng._counter == ref._counter
+
+
+def _peak_doubles_per_line(f, n):
+    """tracemalloc's peak over the call f(), in doubles per line of n."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", BERTRAND_METHODS)
+def test_bertrand_events_keep_no_whole_n_temporaries(method):
+    # the output (1 double a line) and the midpoint disk (2) are whole; the
+    # dot products, comparisons and uniforms live one block at a time
+    n = 200_000
+    peak = _peak_doubles_per_line(
+        lambda: bertrand_indicators(make_rng(22), method, n), n)
+    assert peak <= (3.5 if method == "midpoint" else 2.5)
+
+
 # ---------------------------------------------------------------------------
 # invariant-measure chord experiments
 
@@ -391,6 +427,38 @@ def test_fourth_moment_chord_law(body, radius, seed):
     est = estimate_from_samples(ch[ch > 0.0] ** 4)
     want = 12.0 * volume(body) ** 2 / (np.pi * surface_area(body))
     assert abs(est.mean - want) < 3.0 * est.stderr
+
+
+_CHORD_BODIES = [(UNIT_BALL, 2.0), (Box((0, 0, 0), (1, 1, 1)), 1.8),
+                 (_TETRAHEDRON, 1.8)]
+_CHORD_IDS = ["ball", "box", "tetrahedron"]
+
+
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+@pytest.mark.parametrize("body, radius", _CHORD_BODIES, ids=_CHORD_IDS)
+def test_isotropic_chords_are_the_chords_of_the_sampled_lines(body, radius,
+                                                              block,
+                                                              monkeypatch):
+    # the chords of each block's lines, with no whole line table, are every
+    # bit those of the whole batch, on the same stream words
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    n = 3 * block + 5 if block > 1 else 200
+    rng, ref = make_rng(23), make_rng(23)
+    got = isotropic_chords(rng, body, n, radius)
+    want = chord(body, sample_isotropic(ref, radius, n))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng._counter == ref._counter
+
+
+@pytest.mark.parametrize("body, radius", _CHORD_BODIES[:2],
+                         ids=_CHORD_IDS[:2])
+def test_isotropic_chords_keep_no_line_table(body, radius):
+    # the quaternions (4 doubles a line), offsets (2) and chords (1) are
+    # whole; a (u, foot) table of all n lines would add 6
+    n = 200_000
+    peak = _peak_doubles_per_line(
+        lambda: isotropic_chords(make_rng(24), body, n, radius), n)
+    assert peak <= 10.0
 
 
 def test_insufficient_radius():
