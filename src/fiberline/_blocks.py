@@ -5,7 +5,10 @@ alone, and ``dot`` sums in a fixed order, so slices of any size give the
 same bytes.  numpy takes the one BLAS product left, ``bundle._spin``'s
 ``g @ rz``, one 3x3 pair at a time, so slicing does not move it either.
 Working one block at a time keeps every temporary in cache: a whole-n
-temporary costs more in page faults than in arithmetic.  ``_BLOCK`` is read
+temporary costs more in page faults than in arithmetic.  The line writer
+takes ``blocks(n, 8)``: a formatted row holds Python floats, tuple slots and
+text, about ten times the bytes of a numeric row, so an eighth of a block of
+text costs about as much memory as one numeric block.  ``_BLOCK`` is read
 at every call, so tests can shrink it to show results do not depend on it.
 """
 from __future__ import annotations
@@ -17,9 +20,10 @@ import numpy as np
 _BLOCK = 1 << 14  # rows (or words, for the RNG) per block
 
 
-def blocks(n: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_BLOCK`` rows covering range(n)."""
-    step = _BLOCK
+def blocks(n: int, per: int = 1) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK // per`` rows (at least one)
+    covering range(n)."""
+    step = max(1, _BLOCK // per)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 

@@ -150,12 +150,12 @@ _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{k}": %r' for k in _COLUMNS) + "\n    }"
 
 
-def _value_blocks(parts) -> Iterator[tuple[int, tuple[float, ...]]]:
-    """Row count and row-major _COLUMNS values of each block of rows of each
-    DirectedLine in ``parts``, in order: one block's table at a time."""
+def _value_groups(parts) -> Iterator[tuple[int, tuple[float, ...]]]:
+    """Row count and row-major _COLUMNS values of each group of rows of each
+    DirectedLine in ``parts``, in order: one group's table at a time."""
     for dl in parts:
         u, foot = np.atleast_2d(dl.u), np.atleast_2d(dl.foot)
-        for s in blocks(len(u)):
+        for s in blocks(len(u), 8):
             table = np.concatenate([u[s], foot[s]], axis=1)
             yield len(table), tuple(table.ravel().tolist())
 
@@ -163,7 +163,7 @@ def _value_blocks(parts) -> Iterator[tuple[int, tuple[float, ...]]]:
 def _csv_chunks(parts, manifest: dict) -> Iterator[str]:
     comment = json.dumps(manifest, separators=(",", ":"))
     yield f"# manifest: {comment}\n" + _CSV_HEADER
-    for rows, values in _value_blocks(parts):
+    for rows, values in _value_groups(parts):
         yield (_CSV_ROW * rows) % values
 
 
@@ -174,9 +174,9 @@ def _json_chunks(parts, manifest: dict) -> Iterator[str]:
         return
     # head ends with '"lines": []\n}'; open the list and splice the records in
     yield head[:-len("]\n}")] + "\n"
-    # records are joined by ",\n" across block and part edges too; the
-    # separator is its own chunk, so no block's text is copied to prepend it
-    for i, (rows, values) in enumerate(_value_blocks(parts)):
+    # records are joined by ",\n" across group and part edges too; the
+    # separator is its own chunk, so no group's text is copied to prepend it
+    for i, (rows, values) in enumerate(_value_groups(parts)):
         if i:
             yield ",\n"
         yield ",\n".join([_JSON_RECORD] * rows) % values
@@ -185,14 +185,14 @@ def _json_chunks(parts, manifest: dict) -> Iterator[str]:
 
 def write_lines(fh, parts, manifest: dict, fmt: str) -> None:
     """Write the lines of ``parts`` (DirectedLine batches, in order) to the
-    text file ``fh``, formatting one block of rows at a time.
+    text file ``fh``, formatting one group of rows at a time.
 
     ``fmt="csv"`` writes the comment line ``# manifest: <compact JSON>``,
     the header ``ux,uy,uz,qx,qy,qz`` and one row of %.17g values per line;
     17 significant digits round-trip doubles exactly, so equal inputs give
     equal bytes.  ``fmt="json"`` writes the bytes of ``json.dumps({"manifest":
     manifest, "lines": lines_to_records(all the lines)}, indent=2) + "\n"``:
-    the head comes from ``json.dumps`` of the empty document, and each block
+    the head comes from ``json.dumps`` of the empty document, and each group
     of rows is filled into a ``%r`` template instead of going through the
     pure-Python indenting encoder.  ``%r`` of a float is ``float.__repr__``,
     which is what ``json`` writes; the NaN/Infinity spellings cannot arise
@@ -208,5 +208,5 @@ def write_lines(fh, parts, manifest: dict, fmt: str) -> None:
         raise ValueError(f"unknown line format {fmt!r}")
     for chunk in chunks:
         fh.write(chunk)
-        # drop this block's text before the next one is formatted
+        # drop this group's text before the next one is formatted
         del chunk

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._blocks import blocks, dot
+from ._blocks import blocked_max, blocks, dot
 from .bundle import _isotropic_blocks, _project_arrays, _spin, _turn, \
     LineDensity, project_to_line, sample_bundle, sample_disk
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
@@ -201,17 +201,24 @@ def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> Tes
     """One-sample Kolmogorov-Smirnov test against a continuous CDF.
 
     The p-value is the asymptotic Q(sqrt(n) D); fine for the n >= 8 we
-    require and conservative-ish below a few dozen samples.
+    require and conservative-ish below a few dozen samples.  Only the sorted
+    samples are whole: ``cdf`` sees one block at a time, so each value must
+    come from its own sample, and a max is exact, so D does not depend on
+    the block size.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     n = x.size
     if n < 8:
         raise TooFewSamples(f"KS test needs at least 8 samples, got {n}")
-    F = np.asarray(cdf(x), dtype=np.float64)
-    if F.shape != x.shape or np.any(F < -1e-12) or np.any(F > 1.0 + 1e-12):
-        raise ValueError("cdf must map the samples into [0, 1]")
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d = float(max(np.max(i / n - F), np.max(F - (i - 1.0) / n)))
+
+    def gaps(s):
+        F = np.asarray(cdf(x[s]), dtype=np.float64)
+        if F.shape != x[s].shape or np.any(F < -1e-12) or np.any(F > 1.0 + 1e-12):
+            raise ValueError("cdf must map the samples into [0, 1]")
+        i = np.arange(s.start + 1, s.stop + 1, dtype=np.float64)
+        return np.maximum(i / n - F, F - (i - 1.0) / n)
+
+    d = blocked_max(n, gaps)
     return TestReport(d, kolmogorov_sf(math.sqrt(n) * d), n)
 
 

@@ -29,6 +29,7 @@ from fiberline.errors import (
 )
 from fiberline.geometry import Ball, Box, Halfspaces, chord, surface_area, \
     volume
+from fiberline.haar import s3_w_cdf
 from fiberline.randkit import make_rng
 from fiberline.stats import (
     BERTRAND_METHODS,
@@ -161,6 +162,18 @@ def test_ks_needs_samples_and_sane_cdf():
         ks_test(np.ones(5), lambda t: t)
     with pytest.raises(ValueError):
         ks_test(make_rng(7).uniforms(100), lambda t: t * 3.0)
+
+
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+def test_ks_test_does_not_depend_on_block(block, monkeypatch):
+    # D is the max of per-sample gaps, and a max is exact; a cdf value out of
+    # range in the last block is refused as one in the first would be
+    x = make_rng(6).uniforms(1000)
+    want = ks_test(x, lambda t: np.clip(t / 1.1, 0, 1))
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    assert ks_test(x, lambda t: np.clip(t / 1.1, 0, 1)) == want
+    with pytest.raises(ValueError, match="cdf must map the samples"):
+        ks_test(x, lambda t: np.where(t < x.max(), t, 1.5))
 
 
 def test_ks_two_sample_identical_is_zero():
@@ -351,6 +364,14 @@ def test_bertrand_events_keep_no_whole_n_temporaries(method):
     peak = _peak_doubles_per_line(
         lambda: bertrand_indicators(make_rng(22), method, n), n)
     assert peak <= (3.5 if method == "midpoint" else 2.5)
+
+
+def test_ks_test_keeps_only_the_sorted_samples_whole():
+    # the sorted copy is 1 double a sample; the CDF values, the ranks and
+    # both gaps live one block at a time (4 more doubles a sample if whole)
+    n = 200_000
+    x = 2.0 * make_rng(25).uniforms(n) - 1.0
+    assert _peak_doubles_per_line(lambda: ks_test(x, s3_w_cdf), n) <= 1.5
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 in memory that does not grow with the number of lines.
 
 ``sample`` and ``bundle`` hand the shards' lines to ``write_lines``, which
-formats and writes one ``_blocks.blocks()`` slice of one shard at a time.
-Shard edges and block edges fall anywhere in the output, so each
-combination is compared with ``write_lines`` and ``json.dumps`` of the
-lines joined into one batch.
+formats and writes one group of ``_blocks._BLOCK // 8`` rows (at least one)
+of one shard at a time.  Shard edges and group edges fall anywhere in the
+output, so each combination is compared with ``write_lines`` and
+``json.dumps`` of the lines joined into one batch.
 """
 import io
 import json
@@ -39,7 +39,8 @@ def _joined_lines(n, threads):
 
 # line counts as functions of the block size: none, one, fewer than one block
 # of 37 or of the default size, and four blocks and a row, so that two shards
-# hold two blocks each and three shards one each
+# hold two blocks each and three shards one each; groups of block // 8 rows
+# (1, 4 and 2048) put more edges inside each block
 SIZES = {"n0": lambda b: 0, "n1": lambda b: 1, "n7": lambda b: 7,
          "4-blocks-and-a-row": lambda b: 4 * b + 1}
 
@@ -108,7 +109,7 @@ def _traced_peak(lines, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_memory_does_not_grow_with_n(fmt, monkeypatch):
-    block = 4096  # the peaks scale with the block size; their ratio does not
+    block = 4096  # the peaks scale with the group size; their ratio does not
     monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
     big = sample_isotropic(make_rng(SEED), 1.0, 8 * block)
     small = DirectedLine(big.u[:2 * block], big.foot[:2 * block])
@@ -116,17 +117,29 @@ def test_writer_memory_does_not_grow_with_n(fmt, monkeypatch):
     # a writer that builds a whole-n value tuple or text needs about four
     # times the memory for four times the lines
     assert peak_big <= 1.5 * peak_small
-    # a whole-n (n, 6) float table is small next to one block's text, so the
-    # ratio misses it; it grows by 48 bytes per extra row, so bound the growth
+    # a whole-n (n, 6) float table is small next to the text of one group of
+    # rows, so the ratio misses it; it grows by 48 bytes per extra row, so
+    # bound the growth
     assert peak_big - peak_small < 6 * block * 6 * 8 / 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_json_separators_copy_no_block_text(fmt):
-    # writing three blocks peaks as high as writing one; a writer that
-    # copies each later block's text, to put ",\n" before it, peaks about
-    # 1.3x as high, and one that holds the last block's text while it
-    # formats the next peaks 1.24x (csv) or 1.05x (json) as high
+def test_writer_peak_is_that_of_one_group(fmt):
+    # writing three blocks, 24 groups of rows, peaks as high as writing one
+    # group; a writer that holds the last group's text while it formats the
+    # next peaks 1.24x (csv) or 1.05x (json) as high
     lines = sample_isotropic(make_rng(SEED), 1.0, 3 * DEFAULT_BLOCK)
-    one = DirectedLine(lines.u[:DEFAULT_BLOCK], lines.foot[:DEFAULT_BLOCK])
+    group = DEFAULT_BLOCK // 8
+    one = DirectedLine(lines.u[:group], lines.foot[:group])
     assert _traced_peak(lines, fmt) <= 1.1 * _traced_peak(one, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_is_below_the_lines_it_writes(fmt):
+    # a formatted row costs about ten times its 48 bytes of doubles, so a
+    # writer that formats a whole 16384-row block at a time peaks at 3.4x
+    # (csv) or 4.6x (json) the lines; groups of an eighth of a block peak at
+    # about 0.42x and 0.57x
+    lines = sample_isotropic(make_rng(SEED), 1.0, 3 * DEFAULT_BLOCK)
+    assert _traced_peak(lines, fmt) <= 0.75 * (lines.u.nbytes
+                                               + lines.foot.nbytes)
