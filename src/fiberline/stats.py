@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._blocks import blocked_max, blocks, dot
+from ._chi2 import MAX_DF, chdtrc
 from .bundle import _isotropic_blocks, _project_arrays, _spin, _turn, \
     LineDensity, project_to_line, sample_bundle, sample_disk
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
@@ -244,6 +245,11 @@ def chi2_isotropy(directions: np.ndarray, bins: int = 20) -> TestReport:
     Slicing the sphere at equally spaced z gives equal-area bands, so under
     isotropy every band expects n/bins hits.  Raises TooFewSamples when
     that expectation drops below 5.
+
+    The p-value is the chi-square survival function at bins - 1 degrees of
+    freedom.  Up to 41 bins it comes from :mod:`fiberline._chi2`, a port
+    with the same bits as scipy's ``chdtrc`` that does not import scipy;
+    above 41 bins it comes from ``scipy.special.chdtrc`` itself.
     """
     u = np.asarray(directions, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != 3:
@@ -261,8 +267,10 @@ def chi2_isotropy(directions: np.ndarray, bins: int = 20) -> TestReport:
     counts, _ = np.histogram(z, bins=edges)
     expected = n / bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    from scipy.special import chdtrc  # deferred: scipy costs ~0.27 s to import
-    return TestReport(stat, float(chdtrc(bins - 1, stat)), n)
+    if bins - 1 <= MAX_DF:
+        return TestReport(stat, chdtrc(bins - 1, stat), n)
+    from scipy.special import chdtrc as scipy_chdtrc
+    return TestReport(stat, float(scipy_chdtrc(bins - 1, stat)), n)
 
 
 def ball_chord_cdf(x: np.ndarray, radius: float = 1.0) -> np.ndarray:

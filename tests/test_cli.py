@@ -588,10 +588,23 @@ def test_reader_closing_stdout_early_is_not_an_error(argv):
     assert err == b""
 
 
-def test_no_scipy_import_outside_haar_test():
-    # scipy costs a quarter second to import; only haar-test's chi-square
-    # test and halfspace bodies need it.  The thread pool's module costs
-    # about 7 ms, and only --threads above 1 needs it
+def _run_module(argv, check):
+    """`python -m fiberline argv`, exit 0 expected, then the ``check`` code."""
+    run = ("import runpy, sys\n"
+           f"sys.argv = {['fiberline', *argv]!r}\n"
+           "try:\n"
+           "    runpy.run_module('fiberline', run_name='__main__')\n"
+           "except SystemExit as exc:\n"
+           "    assert exc.code == 0, exc.code\n")
+    return subprocess.run([sys.executable, "-c", run + check],
+                          capture_output=True, text=True)
+
+
+def test_no_scipy_import_outside_halfspaces_and_wide_haar_test():
+    # scipy costs about 0.3 s to import; only halfspace bodies (their
+    # vertices) and haar-test above 41 bands (scipy's chdtrc past the
+    # port's df <= 40) need it.  The thread pool's module costs about 7 ms,
+    # and only --threads above 1 needs it
     check = ("import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
              "assert 'concurrent.futures' not in sys.modules, 'pool imported'\n")
     proc = subprocess.run(
@@ -602,23 +615,25 @@ def test_no_scipy_import_outside_haar_test():
     # the same after a full `python -m fiberline ...` run
     for argv, marker in (
         (["sample", "--n", "10"], "ux,uy,uz,qx,qy,qz"),
+        (["bundle", "--n", "10"], "ux,uy,uz,qx,qy,qz"),
         (["chord", "--body", "ball:0,0,0,1", "--radius", "2", "--n", "10"],
          '"hit_rate_z"'),
         (["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
           "--n", "10"], '"hit_rate_z"'),
+        (["haar-test", "--n", "1000"], '"bands": 20'),
+        (["haar-test", "--n", "1000", "--bands", "41"], '"bands": 41'),
+        (["bertrand", "--method", "midpoint", "--n", "1000"],
+         '"experiment": "bertrand"'),
+        (["gauge-audit", "--n", "2000"], '"experiment": "gauge-audit"'),
     ):
-        run = ("import runpy, sys\n"
-               f"sys.argv = {['fiberline', *argv]!r}\n"
-               "try:\n"
-               "    runpy.run_module('fiberline', run_name='__main__')\n"
-               "except SystemExit as exc:\n"
-               "    assert exc.code == 0, exc.code\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", run + check],
-            capture_output=True, text=True,
-        )
+        proc = _run_module(argv, check)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert marker in proc.stdout
+    # the guard follows the boundary: 42 bands take scipy's chdtrc
+    proc = _run_module(["haar-test", "--n", "1000", "--bands", "42"],
+                       "import sys\nassert 'scipy.special' in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    assert '"bands": 42' in proc.stdout
 
 
 def test_benchmark_tracer_finds_its_spans(tmp_path):

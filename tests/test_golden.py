@@ -85,6 +85,22 @@ GOLDEN = [
     ("haar-test",
      ["haar-test", "--n", "5000", "--seed", "5"], 0,
      "8314f655a3852c7e4185ee26fda9d1c5c7e2ff0c90efa84b08675b07f2057e82"),
+    # the chi-square p-value, digests recorded while scipy computed it at
+    # every band count: at a = bands/2 = 0.5 and 1, where these seeds put
+    # x = stat/2 at 0.71 and 0.96, the igamc series of fiberline._chi2; at
+    # 41 bands (a = 20), the last df it ports; at 42, where scipy still does
+    ("haar-test-bands2",
+     ["haar-test", "--n", "5000", "--seed", "5", "--bands", "2"], 0,
+     "50d3bbd3bb75ec9bb913eac7acafb1341be8fb912632dcdd6521651ab7454c15"),
+    ("haar-test-bands3",
+     ["haar-test", "--n", "5000", "--seed", "6", "--bands", "3"], 0,
+     "c24a6b497873b25ee41fe4b63bbeff8311e634affc30b1b9607366c485e028ad"),
+    ("haar-test-bands41",
+     ["haar-test", "--n", "5000", "--seed", "5", "--bands", "41"], 0,
+     "e293e90735d7dc82399e1e9e17abdc04744b92467dde77cd8b6adcc120a3de1c"),
+    ("haar-test-bands42",
+     ["haar-test", "--n", "5000", "--seed", "5", "--bands", "42"], 0,
+     "2cb3d71f2c98c26a26b69a98d189808820cb48262ad48a3d3c65e52568fa87b9"),
     ("chord-box",
      ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
       "--n", "20000", "--seed", "1"], 0,

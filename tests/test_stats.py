@@ -216,6 +216,61 @@ def test_chi2_isotropy_guards():
         chi2_isotropy(u, bins=1)
 
 
+def _ulps_around(x, k=5):
+    """x and the k floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _chi2_oracle_points(df, rng):
+    """χ² draws, statistics of multinomial band counts, log-spaced x and
+    ±5 ulps around each edge where Cephes igamc(df/2, x/2) changes branch:
+    x/2 = 1.1, 0.5, a, (1 ± 0.4) a, a/1.1 and exp(-0.4/a)."""
+    bins, n = df + 1, 50 * (df + 1)
+    counts = rng.multinomial(n, np.full(bins, 1.0 / bins), size=200)
+    expected = n / bins
+    edges = [2.2, 1.0, df, 0.6 * df, 1.4 * df, df / 1.1,
+             2.0 * math.exp(-0.8 / df)]
+    return np.concatenate([
+        rng.chisquare(df, 200),
+        np.sum((counts - expected) ** 2, axis=1) / expected,
+        np.logspace(-17, math.log10(2000.0), 100),
+        *(_ulps_around(e) for e in edges),
+        [0.0, 5e-324, 1e300, math.inf, -1.0, math.nan],
+    ])
+
+
+def test_chdtrc_port_has_scipys_bits():
+    from fiberline._chi2 import MAX_DF, chdtrc
+
+    rng = np.random.default_rng(2101)
+    total = 0
+    for df in range(1, MAX_DF + 1):
+        x = _chi2_oracle_points(df, rng)
+        got = np.array([chdtrc(df, float(v)) for v in x])
+        want = scipy.special.chdtrc(df, x)
+        bad = (got.view(np.int64) != want.view(np.int64)) \
+            & ~(np.isnan(got) & np.isnan(want))
+        assert not bad.any(), (df, x[bad][:5].tolist(), got[bad][:5].tolist(),
+                               want[bad][:5].tolist())
+        total += x.size
+    assert total >= 20_000
+    with pytest.raises(ValueError):
+        chdtrc(MAX_DF + 1, 1.0)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 20, 41, 42, 200])
+def test_chi2_isotropy_p_value_is_scipys(bins):
+    from fiberline.haar import sample_sphere2
+
+    report = chi2_isotropy(sample_sphere2(make_rng(bins), 2000), bins=bins)
+    want = scipy.special.chdtrc(bins - 1, report.statistic)
+    assert report.p_value.hex() == float(want).hex()
+
+
 # ---------------------------------------------------------------------------
 # Bertrand constructions
 
