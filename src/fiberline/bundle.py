@@ -137,20 +137,14 @@ def _turn(c, s, r: np.ndarray) -> np.ndarray:
     return np.stack([c * r1 - s * r2, s * r1 + c * r2], axis=-1)
 
 
-def _act_arrays(h, g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circle action on raw (g, r) arrays; h is a scalar or (n,) array."""
-    g2, ch, sh = _spin(h, g)
-    # R(-h) r: clockwise counter-rotation of the offset coordinates
-    return g2, _turn(ch, -sh, r)
-
-
 def act(h, pt: BundlePoint) -> BundlePoint:
     """Apply the circle action; h broadcasts over a batch.
 
     The projected line is unchanged: act is a pure gauge move.
     """
-    g2, r2 = _act_arrays(h, pt.g, pt.r)
-    return BundlePoint(g2, r2)
+    g2, ch, sh = _spin(h, pt.g)
+    # R(-h) r: clockwise counter-rotation of the offset coordinates
+    return BundlePoint(g2, _turn(ch, -sh, pt.r))
 
 
 def _project_arrays(g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

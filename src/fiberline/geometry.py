@@ -1,20 +1,23 @@
 """Convex test bodies and line-body intersection lengths.
 
 Three body types are supported: balls, axis-aligned boxes, and bounded
-intersections of halfspaces.  ``chord`` returns the length of the
-intersection of a line with the body (0 for a miss; tangency counts as a
-miss).  Boxes and halfspace bodies share one slab-clipping kernel, ``_clip``
-(Kay & Kajiya 1986; Cyrus & Beck 1978): a box is three two-sided slabs, a
-halfspace body one one-sided slab per face, its dot products from
-``_blocks.dot``, so chords do not depend on the BLAS build or the batch size.
-Volume, surface area and bounding radius are exact for every body: closed
-forms for balls and boxes, the vertices of the polytope for halfspaces.
+intersections of halfspaces.  Each carries its chord kernel ``_chord`` and
+its exact ``_volume``, ``_surface_area`` and ``_bounding_radius``: closed
+forms for balls and boxes, evaluated when read (the sampling-radius check
+refuses a body whose volume overflows before asking for it), and for
+halfspaces the hull of the polytope's vertices, built once with the body.
+``chord`` returns the length of the intersection of a line with the body
+(0 for a miss; tangency counts as a miss).  Boxes and halfspace bodies share
+one slab-clipping kernel, ``_clip`` (Kay & Kajiya 1986; Cyrus & Beck 1978):
+a box is three two-sided slabs, a halfspace body one one-sided slab per
+face, its dot products from ``_blocks.dot``, so chords do not depend on the
+BLAS build or the batch size.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -57,6 +60,21 @@ class Ball:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
+    _volume = property(lambda self: 4.0 / 3.0 * np.pi * self.radius**3)
+    _surface_area = property(lambda self: 4.0 * np.pi * self.radius**2)
+    _bounding_radius = property(lambda self: math.hypot(*self.center) + self.radius)
+
+    def _chord(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # |f + t u - c|^2 = r^2; with |u| = 1 the roots differ by 2 sqrt(disc)
+        w = f - self.center
+        b = dot(w, u)
+        c = dot(w, w) - self.radius**2
+        disc = b * b - c
+        out = np.zeros(u.shape[0], dtype=np.float64)
+        hit = disc > _DISC_TOL  # tangency counts as a miss
+        out[hit] = 2.0 * np.sqrt(disc[hit])
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Box:
@@ -73,21 +91,37 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @property
+    def _volume(self) -> float:
+        return float(np.prod(self.hi - self.lo))
+
+    @property
+    def _surface_area(self) -> float:
+        e = self.hi - self.lo
+        return 2.0 * float(e[0] * e[1] + e[1] * e[2] + e[0] * e[2])
+
+    @property
+    def _bounding_radius(self) -> float:
+        return math.hypot(*np.maximum(np.abs(self.lo), np.abs(self.hi)))
+
+    def _chord(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # three two-sided slabs, one per axis, on contiguous (3, m) copies
+        return _clip(*np.array([u.T, f.T]), self.lo[:, None], self.hi[:, None])
+
 
 @dataclass(frozen=True, eq=False)
 class Halfspaces:
     """Intersection of halfspaces n_i . x <= c_i with unit normals n_i.
 
-    Construction certifies the body and computes its vertices once: it
-    raises Unbounded unless the origin lies strictly inside the hull of the
-    normals (no direction escapes every halfspace), and ValueError when the
-    intersection has no interior.  scipy is imported here, so ball and box
-    runs never load it.
+    Construction certifies the body and computes its exact measures once,
+    from the hull of its vertices: it raises Unbounded unless the origin
+    lies strictly inside the hull of the normals (no direction escapes every
+    halfspace), and ValueError when the intersection has no interior.  scipy
+    is imported here, so ball and box runs never load it.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
-    vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nrm = np.asarray(self.normals, dtype=np.float64)
@@ -104,10 +138,19 @@ class Halfspaces:
         nrm = nrm / lens[:, None]
         object.__setattr__(self, "normals", nrm)
         object.__setattr__(self, "offsets", off)
-        object.__setattr__(self, "vertices", _polytope_vertices(nrm, off))
+        v, s, rb = _polytope_measures(nrm, off)
+        object.__setattr__(self, "_volume", v)
+        object.__setattr__(self, "_surface_area", s)
+        object.__setattr__(self, "_bounding_radius", rb)
+
+    def _chord(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # one one-sided slab per face: n . (f + t u) <= c
+        nrm = self.normals[:, None]
+        return _clip(dot(nrm, u), dot(nrm, f), -np.inf, self.offsets[:, None])
 
 
-def _polytope_vertices(nrm: np.ndarray, off: np.ndarray) -> np.ndarray:
+def _polytope_measures(nrm: np.ndarray, off: np.ndarray) -> tuple[float, float, float]:
+    """Volume, surface area and largest vertex norm of the polytope."""
     from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
@@ -127,28 +170,13 @@ def _polytope_vertices(nrm: np.ndarray, off: np.ndarray) -> np.ndarray:
         depth = float(np.min(off - dot(nrm, centre)))
     if lp.status != 0 or depth <= _DEPTH_TOL * (np.sqrt(dot(centre, centre)) + depth):
         raise ValueError("halfspace intersection has an empty interior")
-    return HalfspaceIntersection(np.c_[nrm, -off], centre).intersections
+    vertices = HalfspaceIntersection(np.c_[nrm, -off], centre).intersections
+    hull = ConvexHull(vertices)
+    return (float(hull.volume), float(hull.area),
+            float(np.max(np.sqrt(dot(vertices, vertices)))))
 
 
 ConvexBody = Union[Ball, Box, Halfspaces]
-
-
-def _line_arrays(dl: DirectedLine) -> tuple[np.ndarray, np.ndarray, bool]:
-    u = np.atleast_2d(dl.u)
-    f = np.atleast_2d(dl.foot)
-    return u, f, not dl.is_batch
-
-
-def _chord_ball(body: Ball, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # |f + t u - c|^2 = r^2; with |u| = 1 the roots differ by 2 sqrt(disc)
-    w = f - body.center
-    b = dot(w, u)
-    c = dot(w, w) - body.radius**2
-    disc = b * b - c
-    out = np.zeros(u.shape[0], dtype=np.float64)
-    hit = disc > _DISC_TOL  # tangency counts as a miss
-    out[hit] = 2.0 * np.sqrt(disc[hit])
-    return out
 
 
 def _clip(d: np.ndarray, p: np.ndarray, lo, hi) -> np.ndarray:
@@ -170,48 +198,21 @@ def chord(body: ConvexBody, dl: DirectedLine) -> np.ndarray:
     Invariant under flipping the direction and under applying any rigid
     motion to both body and line.
     """
-    u, f, single = _line_arrays(dl)
-    if isinstance(body, Ball):
-        kernel = lambda u, f: _chord_ball(body, u, f)
-    elif isinstance(body, Box):
-        # three two-sided slabs, one per axis, on contiguous (3, m) copies
-        lo, hi = body.lo[:, None], body.hi[:, None]
-        kernel = lambda u, f: _clip(*np.array([u.T, f.T]), lo, hi)
-    elif isinstance(body, Halfspaces):
-        # one one-sided slab per face: n . (f + t u) <= c
-        nrm, c = body.normals[:, None], body.offsets[:, None]
-        kernel = lambda u, f: _clip(dot(nrm, u), dot(nrm, f), -np.inf, c)
-    else:
-        raise TypeError(f"not a convex body: {type(body).__name__}")
+    u, f = np.atleast_2d(dl.u), np.atleast_2d(dl.foot)
     out = np.empty(len(u), dtype=np.float64)
     for s in blocks(len(u)):
-        out[s] = kernel(u[s], f[s])
-    return float(out[0]) if single else out
+        out[s] = body._chord(u[s], f[s])
+    return out if dl.is_batch else float(out[0])
 
 
 def volume(body: ConvexBody) -> float:
     """Exact volume: closed form, or the hull of the halfspace vertices."""
-    if isinstance(body, Ball):
-        return 4.0 / 3.0 * np.pi * body.radius**3
-    if isinstance(body, Box):
-        return float(np.prod(body.hi - body.lo))
-    if isinstance(body, Halfspaces):
-        from scipy.spatial import ConvexHull
-        return float(ConvexHull(body.vertices).volume)
-    raise TypeError(f"not a convex body: {type(body).__name__}")
+    return body._volume
 
 
 def surface_area(body: ConvexBody) -> float:
     """Exact surface area: closed form, or the hull of the halfspace vertices."""
-    if isinstance(body, Ball):
-        return 4.0 * np.pi * body.radius**2
-    if isinstance(body, Box):
-        e = body.hi - body.lo
-        return 2.0 * float(e[0] * e[1] + e[1] * e[2] + e[0] * e[2])
-    if isinstance(body, Halfspaces):
-        from scipy.spatial import ConvexHull
-        return float(ConvexHull(body.vertices).area)
-    raise TypeError(f"not a convex body: {type(body).__name__}")
+    return body._surface_area
 
 
 def bounding_radius(body: ConvexBody) -> float:
@@ -219,13 +220,7 @@ def bounding_radius(body: ConvexBody) -> float:
 
     Exact for every body: for Halfspaces, the largest vertex norm.
     """
-    if isinstance(body, Ball):
-        return math.hypot(*body.center) + body.radius
-    if isinstance(body, Box):
-        return math.hypot(*np.maximum(np.abs(body.lo), np.abs(body.hi)))
-    if isinstance(body, Halfspaces):
-        return float(np.max(np.sqrt(dot(body.vertices, body.vertices))))
-    raise TypeError(f"not a convex body: {type(body).__name__}")
+    return body._bounding_radius
 
 
 def _floats(text: str, want: int, what: str) -> list[float]:

@@ -135,14 +135,10 @@ def point_at(dl: DirectedLine, t) -> np.ndarray:
 _COLUMNS = ("ux", "uy", "uz", "qx", "qy", "qz")
 
 
-def _table(dl: DirectedLine) -> np.ndarray:
-    """(n, 6) array of the _COLUMNS values, one row per line."""
-    return np.concatenate([np.atleast_2d(dl.u), np.atleast_2d(dl.foot)], axis=1)
-
-
 def lines_to_records(dl: DirectedLine) -> list[dict]:
     """Plain-dict rows {ux, uy, uz, qx, qy, qz}; q* is the foot point."""
-    return [dict(zip(_COLUMNS, row)) for row in _table(dl).tolist()]
+    table = np.concatenate([np.atleast_2d(dl.u), np.atleast_2d(dl.foot)], axis=1)
+    return [dict(zip(_COLUMNS, row)) for row in table.tolist()]
 
 
 _CSV_HEADER = ",".join(_COLUMNS) + "\n"

@@ -173,9 +173,11 @@ def kolmogorov_sf(t: float) -> float:
 
     Q(t) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 t^2) for large t; for t < 1 the
     theta-transformed series converges faster and is used instead.  Accurate
-    to ~1e-12, clipped into [0, 1].
+    to ~1e-12, clipped into [0, 1].  A NaN t raises ValueError.
     """
     t = float(t)
+    if math.isnan(t):
+        raise ValueError("the Kolmogorov statistic is NaN")
     if t <= 0.0:
         return 1.0
     if t < 1.0:
@@ -211,10 +213,13 @@ def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> Tes
     n = x.size
     if n < 8:
         raise TooFewSamples(f"KS test needs at least 8 samples, got {n}")
+    if np.isnan(x[-1]):  # np.sort puts NaNs last
+        raise ValueError("KS test samples must not be NaN")
 
     def gaps(s):
         F = np.asarray(cdf(x[s]), dtype=np.float64)
-        if F.shape != x[s].shape or np.any(F < -1e-12) or np.any(F > 1.0 + 1e-12):
+        # written so that a NaN fails it
+        if F.shape != x[s].shape or not np.all((F >= -1e-12) & (F <= 1.0 + 1e-12)):
             raise ValueError("cdf must map the samples into [0, 1]")
         i = np.arange(s.start + 1, s.stop + 1, dtype=np.float64)
         return np.maximum(i / n - F, F - (i - 1.0) / n)
@@ -231,6 +236,8 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> TestReport:
     n1, n2 = a.size, b.size
     if n1 < 8 or n2 < 8:
         raise TooFewSamples("two-sample KS needs at least 8 samples per side")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaNs last
+        raise ValueError("two-sample KS samples must not be NaN")
     both = np.concatenate([a, b])
     fa = np.searchsorted(a, both, side="right") / n1
     fb = np.searchsorted(b, both, side="right") / n2
@@ -265,6 +272,8 @@ def chi2_isotropy(directions: np.ndarray, bins: int = 20) -> TestReport:
     edges = np.linspace(-1.0, 1.0, bins + 1)
     z = np.clip(u[:, 2], -1.0, 1.0)  # unit-norm roundoff must not fall out
     counts, _ = np.histogram(z, bins=edges)
+    if counts.sum() < n:  # a clipped z falls out of the bands only if NaN
+        raise ValueError("directions must not be NaN")
     expected = n / bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
     if bins - 1 <= MAX_DF:

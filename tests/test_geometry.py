@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberline._blocks
+from fiberline.cli import main
 from fiberline.errors import Unbounded
 from fiberline.geometry import (
     Ball,
@@ -250,6 +251,29 @@ def test_halfspaces_constants_exact():
 def test_halfspaces_bounding_radius_covers_cube():
     r = bounding_radius(_cube_halfspaces())
     assert abs(r - np.sqrt(3.0)) <= 1e-15
+
+
+def test_halfspace_chord_run_builds_each_hull_once(tmp_path, monkeypatch, capsys):
+    # one hull of the normals certifies the body, one of its vertices gives
+    # V, S and the bounding radius; the oracles and both shards reuse them
+    import scipy.spatial
+
+    tet = _tetrahedron()
+    path = tmp_path / "tet.json"
+    path.write_text(json.dumps([{"normal": n, "offset": c} for n, c in
+                                zip(tet.normals.tolist(), tet.offsets.tolist())]))
+    builds = []
+    real_hull = scipy.spatial.ConvexHull
+
+    def counting_hull(*args, **kwargs):
+        builds.append(args[0].shape)
+        return real_hull(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting_hull)
+    code = main(["chord", "--body", f"halfspaces:@{path}", "--radius", "1.8",
+                 "--n", "20000", "--seed", "1", "--threads", "2"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(builds) == 2, builds
 
 
 _quaternions = st.lists(st.floats(-1, 1), min_size=4, max_size=4).filter(

@@ -216,6 +216,38 @@ def test_chi2_isotropy_guards():
         chi2_isotropy(u, bins=1)
 
 
+def test_kolmogorov_sf_refuses_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        kolmogorov_sf(math.nan)
+
+
+def test_ks_test_refuses_nan():
+    x = make_rng(6).uniforms(100)
+    x[17] = np.nan
+    # this cdf maps NaN to 0, so only the samples can show it
+    with pytest.raises(ValueError, match="must not be NaN"):
+        ks_test(x, lambda t: np.where(t > 0.0, np.minimum(t, 1.0), 0.0))
+    with pytest.raises(ValueError, match="cdf must map the samples"):
+        ks_test(make_rng(6).uniforms(100), lambda t: np.where(t < 0.5, t, np.nan))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_ks_two_sample_refuses_nan(side):
+    samples = [make_rng(8).uniforms(50), make_rng(9).uniforms(50)]
+    samples[side][3] = np.nan
+    with pytest.raises(ValueError, match="must not be NaN"):
+        ks_two_sample(*samples)
+
+
+def test_chi2_isotropy_refuses_nan():
+    from fiberline.haar import sample_sphere2
+
+    u = sample_sphere2(make_rng(11), 100)
+    u[:30] = np.nan  # n counts these rows, but no band does
+    with pytest.raises(ValueError, match="must not be NaN"):
+        chi2_isotropy(u, bins=2)
+
+
 def _ulps_around(x, k=5):
     """x and the k floats on each side of it."""
     below, above = [x], [x]
