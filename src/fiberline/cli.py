@@ -12,9 +12,10 @@ sampler error (error name on standard error).
 
 ``--threads k`` (every subcommand but gauge-audit) shards n across k sibling
 random streams (ids 1..k), taken in stream order, so output depends on the
-flag value but not on scheduling; at most ``os.cpu_count()`` worker threads
-run the shards, and k is at most 1024.  ``sample`` and ``bundle`` write the
-shards' lines in stream order, block by block, without joining them first.
+flag value but not on scheduling; at most ``os.cpu_count()`` worker processes
+run the shards, this one and forked children, and k is at most 1024.
+``sample`` and ``bundle`` write the shards' lines in stream order, block by
+block, without joining them first.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import shlex
 import sys
 from contextlib import contextmanager
@@ -108,20 +110,98 @@ def _manifest(argv: list[str], seed: int, n: int, extra: dict | None = None) -> 
 
 
 def _run_shards(seed: int, threads: int, n: int, fn) -> list:
-    """fn(stream, count) for each shard; results in stream-id order."""
+    """fn(stream, count) for each shard; results in stream-id order.
+
+    More than one shard runs on W = min(k, os.cpu_count()) workers: this
+    process and W - 1 forked children.  Shard i runs on worker i mod W, and
+    each worker takes its shards in stream order.  The error raised is that
+    of the lowest-numbered failing shard; a child that ends without sending
+    its outcome fails at its first shard with a FiberlineError.  Every child
+    is reaped before this returns or raises.  Without ``os.fork`` the shards
+    run here, in order.
+    """
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError(f"--threads must be between 1 and {_MAX_THREADS}")
     k = max(1, min(int(threads), int(n))) if n > 0 else 1
     base, extra = divmod(n, k)
-    sizes = [base + (1 if i < extra else 0) for i in range(k)]
-    streams = [split(make_rng(seed), i + 1) for i in range(k)]
-    if k == 1:
-        return [fn(streams[0], sizes[0])]
-    # imported here: one shard, the default, needs no pool
-    from concurrent.futures import ThreadPoolExecutor
-    # results keep stream order however many workers run the shards
-    with ThreadPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as ex:
-        return list(ex.map(fn, streams, sizes))
+    jobs = [(split(make_rng(seed), i + 1), base + (1 if i < extra else 0))
+            for i in range(k)]
+    width = min(k, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if width == 1:
+        return [fn(st, m) for st, m in jobs]
+    pids, pipes = [], []
+    try:
+        for w in range(1, width):
+            pid, pipe = _fork_worker(fn, jobs[w::width])
+            pids.append(pid)
+            pipes.append(pipe)
+        outcomes = [_attempt(fn, jobs[::width])]
+        outcomes += [_receive(pipe) for pipe in pipes]
+    finally:
+        for pipe in pipes:  # a child still writing gets EPIPE and exits
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    results, failed = [None] * k, []
+    for w, (done, exc) in enumerate(outcomes):
+        results[w:w + width * len(done):width] = done
+        if exc is not None:
+            failed.append((w + width * len(done), exc))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
+
+
+def _attempt(fn, jobs) -> tuple[list, Exception | None]:
+    """fn's results for ``jobs`` in order, up to the first error, and it."""
+    done = []
+    try:
+        for st, m in jobs:
+            done.append(fn(st, m))
+    except Exception as exc:  # handed to _run_shards, which raises it
+        return done, exc
+    return done, None
+
+
+def _fork_worker(fn, jobs):
+    """Fork a child that pickles ``_attempt(fn, jobs)`` into a pipe; its pid
+    and the pipe's reading end, as a binary file.
+
+    Fork, not spawn: a child shares the parent's imports and pages, where a
+    spawned one would first spend about 0.15 s starting Python and numpy.
+    The package starts no thread (a test pins its imports), and shards make
+    no BLAS call, so the child inherits no lock held by another thread.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump(_attempt(fn, jobs), fh, pickle.HIGHEST_PROTOCOL)
+        finally:
+            # skip the parent's cleanup and buffered output: leave at once
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(pipe) -> tuple[list, Exception | None]:
+    """A worker's outcome; one that sent none failed at its first shard."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return [], FiberlineError("a shard worker ended without a result")
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The shards' arrays end to end; a single shard's array as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @contextmanager
@@ -241,7 +321,7 @@ def _cmd_sample(args, argv: list[str]) -> None:
 
 
 def _cmd_bertrand(args, argv: list[str]) -> dict:
-    ind = np.concatenate(
+    ind = _joined(
         _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: bertrand_indicators(st, args.method, m))
     )
@@ -258,7 +338,7 @@ def _cmd_bertrand(args, argv: list[str]) -> dict:
 
 def _cmd_chord(args, argv: list[str]) -> dict:
     body = parse_body(args.body)
-    ch = np.concatenate(
+    ch = _joined(
         _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: isotropic_chords(st, body, m, args.radius))
     )
@@ -284,7 +364,7 @@ def _cmd_chord(args, argv: list[str]) -> dict:
 
 
 def _cmd_haar_test(args, argv: list[str]) -> dict:
-    q = np.concatenate(
+    q = _joined(
         _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: sample_sphere3(st, m))
     )

@@ -170,8 +170,12 @@ def _polytope_measures(nrm: np.ndarray, off: np.ndarray) -> tuple[float, float, 
         depth = float(np.min(off - dot(nrm, centre)))
     if lp.status != 0 or depth <= _DEPTH_TOL * (np.sqrt(dot(centre, centre)) + depth):
         raise ValueError("halfspace intersection has an empty interior")
-    vertices = HalfspaceIntersection(np.c_[nrm, -off], centre).intersections
-    hull = ConvexHull(vertices)
+    try:
+        vertices = HalfspaceIntersection(np.c_[nrm, -off], centre).intersections
+        hull = ConvexHull(vertices)
+    except QhullError:  # extents ~1e15 apart: the vertices round flat
+        raise ValueError("halfspace body is too flat for its extent: qhull "
+                         "cannot build its vertices") from None
     return (float(hull.volume), float(hull.area),
             float(np.max(np.sqrt(dot(vertices, vertices)))))
 

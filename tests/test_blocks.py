@@ -1,5 +1,6 @@
-"""The row dot product's contract, no BLAS call outside bundle._spin, and
-no reduction along rows anywhere in the package."""
+"""The row dot product's contract, no BLAS call outside bundle._spin, no
+reduction along rows anywhere in the package, and no worker mechanism but
+the shard runner's forked processes."""
 import ast
 import pathlib
 
@@ -14,6 +15,8 @@ SRC = pathlib.Path(fiberline.__file__).resolve().parent
 _BLAS_NAMES = {"linalg", "dot", "matmul", "inner", "einsum"}
 # reductions that must run down columns, (constraints, lines), not along rows
 _REDUCTIONS = {"max", "min", "amax", "amin", "any", "all", "sum"}
+# modules that start threads or worker pools
+_WORKER_MODULES = {"threading", "concurrent", "multiprocessing", "_thread"}
 
 
 def _rows(rng, k, n=100_000):
@@ -126,6 +129,43 @@ def test_reductions_run_down_columns():
     found = {}
     for path in sorted(SRC.glob("*.py")):
         lines = _row_reductions(path.read_text())
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def _worker_imports(source: str) -> list[int]:
+    """Line numbers of imports of thread or pool modules in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in _WORKER_MODULES for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_worker_import_guard_sees_every_form():
+    for line in ("import threading", "import concurrent.futures",
+                 "from concurrent.futures import ThreadPoolExecutor",
+                 "import multiprocessing as mp", "from multiprocessing import Pool",
+                 "import os, threading"):
+        assert _worker_imports(line) == [1], line
+    for line in ("import os", "from . import threading_notes",
+                 "from .concurrent import x", "import numpy"):
+        assert _worker_imports(line) == [], line
+
+
+def test_no_threads_or_pools():
+    # cli._run_shards forks its workers, which is safe only while no thread
+    # runs; it stays the one worker mechanism
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _worker_imports(path.read_text())
         if lines:
             found[path.name] = lines
     assert found == {}

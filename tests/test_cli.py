@@ -1,5 +1,4 @@
 """End-to-end CLI behavior: output schema, exit codes, reproducibility."""
-import concurrent.futures
 import json
 import os
 import pathlib
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import fiberline.cli
+import fiberline.haar
 from fiberline.cli import main
 from fiberline.geometry import Ball, chord
 from fiberline.linespace import DirectedLine
@@ -126,24 +126,112 @@ def test_threads_bounded(capsys):
     assert code == 0 and json.loads(out)["n"] == 2000
 
 
+def _assert_no_children():
+    # every forked shard worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_threads_pool_bounded_by_cpu_count(capsys, monkeypatch):
-    # 64 shards, but no more worker threads than the machine has CPUs
+    # 64 shards, but no more workers than the machine has CPUs: this
+    # process and min(64, os.cpu_count()) - 1 forked children
     args = ["sample", "--n", "64", "--seed", "5", "--threads", "64"]
-    asked = []
-    real_pool = concurrent.futures.ThreadPoolExecutor
+    forked = []
+    real_fork = os.fork
 
-    def recording_pool(max_workers):
-        asked.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    # the CLI imports the pool class when it needs one, so the spy sits on
-    # its module
     with monkeypatch.context() as mp:
-        mp.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        mp.setattr(os, "fork", recording_fork)
         _, recorded, _ = _run(capsys, args)
     _, plain, _ = _run(capsys, args)
-    assert asked and all(1 <= k <= (os.cpu_count() or 1) for k in asked)
+    assert len(forked) == min(64, os.cpu_count() or 1) - 1
     assert recorded == plain
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("argv", [
+    ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8", "--n", "2000",
+     "--threads", "5"],
+    ["haar-test", "--n", "2000", "--threads", "3"],
+    ["bundle", "--density", "tilt", "--kappa", "2", "--n", "200",
+     "--threads", "4"],
+], ids=["chord", "haar-test", "bundle"])
+def test_shard_bytes_do_not_depend_on_workers(argv, capsys, monkeypatch):
+    # one worker, two on this host's count, and four (three children, some
+    # running two shards): the bytes are those of the shards in stream order
+    args = [*argv, "--seed", "9"]
+    _, forked, _ = _run(capsys, args)
+    with monkeypatch.context() as mp:
+        mp.delattr(os, "fork")
+        code, serial, _ = _run(capsys, args)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "cpu_count", lambda: 4)
+        _, wide, _ = _run(capsys, args)
+    assert code == 0 and serial == forked == wide
+    _assert_no_children()
+
+
+def test_failing_shard_in_worker_exits_3(capsys, monkeypatch):
+    # every shard stalls; the report is that of shard 1 (5001 lines, 5009
+    # proposals), not shard 2's (5008), as when the shards ran on threads
+    monkeypatch.setattr(fiberline.haar, "_STALL_PROPOSALS", 1000)
+    for threads, proposals in (("2", 5009), ("3", 3342)):
+        code, out, err = _run(capsys, [
+            "bundle", "--n", "10001", "--seed", "1", "--density", "tilt",
+            "--kappa", "1e9", "--threads", threads])
+        assert (code, out) == (3, "")
+        assert err == f"RejectionStall: 0 acceptances in {proposals} proposals\n"
+        _assert_no_children()
+
+
+def test_lowest_failing_shard_wins():
+    # shard 1 passes; shard 2 fails in a child, and shard 3 in this process
+    # after it, on a host of two or more CPUs
+    def fn(st, m):
+        if st.stream_id >= 2:
+            raise ValueError(f"shard {st.stream_id}")
+        return m
+
+    with pytest.raises(ValueError, match="^shard 2$"):
+        fiberline.cli._run_shards(1, 3, 30, fn)
+    _assert_no_children()
+    assert fiberline.cli._run_shards(1, 3, 30, lambda st, m: st.stream_id) \
+        == [1, 2, 3]
+
+
+def test_worker_without_result_exits_3(capsys, monkeypatch):
+    parent = os.getpid()
+    real = fiberline.cli.sample_sphere3
+
+    def dying(rng, m):
+        if os.getpid() != parent:
+            os._exit(1)  # a worker lost before it sends anything
+        return real(rng, m)
+
+    monkeypatch.setattr(fiberline.cli, "sample_sphere3", dying)
+    if (os.cpu_count() or 1) < 2:
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = _run(capsys, ["haar-test", "--n", "200", "--seed", "1",
+                                   "--threads", "2"])
+    assert (code, out) == (3, "")
+    assert err == "FiberlineError: a shard worker ended without a result\n"
+    _assert_no_children()
+
+
+def test_threads_run_writes_no_stderr():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiberline", "chord", "--body",
+         "box:0,0,0,1,1,1", "--radius", "1.8", "--n", "20000", "--seed", "1",
+         "--threads", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
@@ -314,6 +402,17 @@ def test_chord_bad_halfspaces_exit_2(normals, offsets, tmp_path, capsys):
     code, out, err = _run(capsys, ["chord", "--body", body, "--radius", "10",
                                    "--n", "100", "--seed", "1"])
     assert code == 2 and out == "" and err != ""
+
+
+def test_chord_halfspaces_too_flat_for_extent_exit_2(tmp_path, capsys):
+    # extents 1e30 and 1: qhull's vertex step finds the body flat; one line
+    # on standard error and exit 2, not a traceback and exit 1
+    body = _halfspace_body(tmp_path, _AXES, [1e30, 1e30, 1, 1, 1, 1])
+    code, out, err = _run(capsys, ["chord", "--body", body, "--radius", "2e30",
+                                   "--n", "100", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: halfspace body is too flat for its extent: qhull "
+                   "cannot build its vertices\n")
 
 
 def test_chord_no_hits_exits_1(capsys):
@@ -603,8 +702,8 @@ def _run_module(argv, check):
 def test_no_scipy_import_outside_halfspaces_and_wide_haar_test():
     # scipy costs about 0.3 s to import; only halfspace bodies (their
     # vertices) and haar-test above 41 bands (scipy's chdtrc past the
-    # port's df <= 40) need it.  The thread pool's module costs about 7 ms,
-    # and only --threads above 1 needs it
+    # port's df <= 40) need it.  No run imports a thread pool's module
+    # (about 7 ms): shards above the first run in forked processes
     check = ("import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
              "assert 'concurrent.futures' not in sys.modules, 'pool imported'\n")
     proc = subprocess.run(

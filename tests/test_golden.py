@@ -120,6 +120,20 @@ GOLDEN = [
     ("bertrand-midpoint",
      ["bertrand", "--method", "midpoint", "--n", "20000", "--seed", "3"], 0,
      "162ca529db6798718d9b52b5f87393f58d1013690caaa3033243d6b7225e545c"),
+    # the shard scheduler: uneven shard sizes (67, 67, 66); two shards of
+    # frames; more shards than a 2-CPU host has workers, so one worker runs
+    # several of them
+    ("bertrand-midpoint-t3",
+     ["bertrand", "--method", "midpoint", "--n", "200", "--seed", "3",
+      "--threads", "3"], 0,
+     "161b0400cdaef70ebd1e5f8bea65436be30c085467b27a513666d088db5e9fb9"),
+    ("haar-test-t2",
+     ["haar-test", "--n", "200", "--seed", "5", "--threads", "2"], 0,
+     "3daa6cd4c8c540a6ffe28f79aefe38ee6898d2d440ad6c582871ee9a38951030"),
+    ("chord-box-t5",
+     ["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
+      "--n", "200", "--seed", "1", "--threads", "5"], 0,
+     "67ebeb730aa3112d57bead6ebf2c2685275c6afdaabbcb9ba3003ad6e61f6886"),
     ("gauge-foot-tilt",
      ["gauge-audit", "--density", "foot-tilt", "--n", "5000",
       "--seed", "7"], 0,
