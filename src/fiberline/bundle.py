@@ -25,9 +25,9 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
-from .haar import _ROTATION, _count, _cube_rejection, _rejection, \
-    _unit_columns, _unit_norms, quat_to_rotation, sample_sphere2, \
-    tangent_from_ball
+from .haar import _ROTATION, _count, _cube_rejection, _CubeRows, \
+    _rejection, _unit_columns, _unit_norms, quat_to_rotation, \
+    sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -159,11 +159,15 @@ def project_to_line(pt: BundlePoint) -> DirectedLine:
     return DirectedLine(u, foot)
 
 
+def _check_radius(radius: float) -> None:
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError("radius must be positive and finite")
+
+
 def sample_disk(rng: RngStream, radius: float, n: int) -> np.ndarray:
     """n uniform points in the closed disk of given radius, by square
     rejection; shape (n, 2)."""
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise ValueError("radius must be positive and finite")
+    _check_radius(radius)
     out = _cube_rejection(rng, _count(n), 2)
     out *= radius
     return out
@@ -190,15 +194,19 @@ def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
 
 def _isotropic_blocks(rng: RngStream, radius: float, m: int):
     """``sample_isotropic``'s m lines as (slice, u, foot), one block at a
-    time.  The quaternions and then the offsets are drawn whole, as their
-    stream order requires; no line table of all m rows is built."""
+    time.  The quaternions are drawn whole, as their stream order requires,
+    and then the offsets, the bits of ``sample_disk``, as a ``_CubeRows``
+    draw that keeps only its redrawn rows; no line table of all m rows is
+    built."""
+    _check_radius(radius)
     # looked up on haar at call time: replacing haar.sample_sphere3 replaces
     # these frames too
     q = haar.sample_sphere3(rng, m)
-    r = sample_disk(rng, radius, m)
+    disk = _CubeRows(rng, m, 2)
     for s in blocks(m):
         qs = _unit_columns(q[s], _unit_norms(q[s], "quaternion"))
-        r1, r2 = r[s, 0], r[s, 1]
+        r = disk[s] * radius
+        r1, r2 = r[:, 0], r[:, 1]
         u = np.empty((len(r1), 3), dtype=np.float64)
         foot = np.empty((len(r1), 3), dtype=np.float64)
         # row i of the frame: u = column 2, foot = r1 column 0 + r2 column 1
@@ -242,8 +250,7 @@ def sample_cosine_surface(rng: RngStream, radius: float, n: int) -> DirectedLine
     (drawn as cos(alpha) = sqrt(U)).  The resulting flux through the sphere
     reproduces the invariant line measure restricted to hitting lines.
     """
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise ValueError("radius must be positive and finite")
+    _check_radius(radius)
     m = _count(n)
     normal_in = -sample_sphere2(rng, m)  # inward normal at the surface point
     surf = -radius * normal_in

@@ -8,7 +8,8 @@ give the same rotation.
 Every draw ends in one of two kernels: ``_redraw`` stores every candidate a
 draw makes and draws the rejected rows again (cube points outside the ball,
 vectors too short to normalize), and ``_rejection`` keeps proposals with
-probability f/bound.
+probability f/bound.  ``_CubeRows`` is ``_redraw``'s cube draw held as its
+redrawn rows only, the others rebuilt from their stream words on demand.
 
 Every sampler takes a count n and returns a batch with a leading axis of
 length n.
@@ -106,6 +107,16 @@ def sample_sphere3(rng: RngStream, n: int) -> np.ndarray:
     return _unit_gaussians(rng, _count(n), 4)
 
 
+def _cube_candidates(u: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points 2u - 1 of [-1, 1)^dim made from the uniforms u, dim words
+    a point and computed in place, and the mask of those in the closed unit
+    ball."""
+    c = u.reshape(-1, dim)
+    c *= 2.0
+    c -= 1.0
+    return dot(c, c) <= 1.0, c
+
+
 def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m uniform points of the closed unit ball in R^dim: candidates uniform
     in [-1, 1)^dim, rows outside the ball redrawn.
@@ -114,13 +125,45 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     w/dim candidates; in R^3 the long-run acceptance rate is the volume ratio
     pi/6.
     """
-    def draw(rows):
-        c = rng.uniforms(dim * rows.size).reshape(-1, dim)
-        c *= 2.0
-        c -= 1.0
-        return dot(c, c) <= 1.0, c
+    return _redraw(m, dim, lambda rows: _cube_candidates(
+        rng.uniforms(dim * rows.size), dim), sequential=True)
 
-    return _redraw(m, dim, draw, sequential=True)
+
+class _CubeRows:
+    """``_cube_rejection(rng, m, dim)``, on the same words and leaving the
+    stream at the same counter, but holding only the rows its first pass
+    misses; indexing with a slice rebuilds those rows from their words.
+
+    Candidate i is made from the words c0 + dim i .. c0 + dim i + dim - 1,
+    c0 being the counter at the draw.  The missed rows take, in order, the
+    rows of ``_cube_rejection(rng, misses, dim)`` drawn right after the
+    first pass, which is how ``_redraw`` fills them.  In the plane about
+    21% of the rows are missed.
+    """
+
+    def __init__(self, rng: RngStream, m: int, dim: int):
+        self._rng, self._dim = rng, dim
+        self._c0 = rng._counter
+        kept = np.empty(m, dtype=bool)
+        for s in blocks(m):
+            kept[s], _ = _cube_candidates(
+                rng.uniforms(dim * (s.stop - s.start)), dim)
+        self._missed = np.flatnonzero(~kept)
+        # in one pass, not block by block like _cube_rejection: same words,
+        # but its freed whole-pass words keep later block temporaries on
+        # malloc's heap (block by block, chord box at n = 10^6 took twice
+        # the page faults)
+        self._redrawn = _redraw(self._missed.size, dim, lambda rows:
+                                _cube_candidates(rng.uniforms(dim * rows.size), dim))
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        """Rows s.start .. s.stop - 1."""
+        start, stop = s.start, s.stop
+        _, c = _cube_candidates(self._rng._uniforms_at(
+            self._c0 + self._dim * start, self._dim * (stop - start)), self._dim)
+        lo, hi = np.searchsorted(self._missed, (start, stop))
+        c[self._missed[lo:hi] - start] = self._redrawn[lo:hi]
+        return c
 
 
 def _unit_norms(v: np.ndarray, what: str) -> np.ndarray:

@@ -27,14 +27,17 @@ _INV_2_53 = 1.0 / float(1 << 53)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output finalizer, elementwise on uint64 arrays.
+    """SplitMix64 output finalizer, elementwise on uint64 arrays, in place.
 
     Operates on arrays (never numpy scalars) so the intended mod-2**64
     wraparound stays silent.
     """
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _stream_base(seed: int, stream_id: int) -> np.uint64:
@@ -79,13 +82,23 @@ class RngStream:
                 f"counter={self._counter})")
 
     def _raw(self, start: int, n: int) -> np.ndarray:
-        """Raw words for counter positions start .. start+n-1."""
-        idx = np.uint64(start & _MASK64) + np.arange(n, dtype=np.uint64)
-        return _mix(self._base + idx * _GAMMA)
+        """Raw words for counter positions start .. start+n-1, computed in
+        place, so a block of words holds two word-sized arrays at a time."""
+        z = np.arange(n, dtype=np.uint64)
+        z += np.uint64(start & _MASK64)
+        z *= _GAMMA
+        z += self._base
+        return _mix(z)
 
-    def _peek_uniforms(self, n: int) -> np.ndarray:
-        x = self._raw(self._counter, n)
-        return (x >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    def _uniforms_at(self, start: int, n: int) -> np.ndarray:
+        """The uniforms of counter positions start .. start+n-1, read
+        without moving the counter: a draw can rebuild rows from their
+        words long after it consumed them."""
+        x = self._raw(start, n)
+        x >>= np.uint64(11)
+        u = x.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` doubles, uniform on [0, 1)."""
@@ -94,7 +107,7 @@ class RngStream:
             raise FiberlineError("draw count must be nonnegative")
         out = np.empty(n, dtype=np.float64)
         for s in blocks(n):
-            out[s] = self._peek_uniforms(s.stop - s.start)
+            out[s] = self._uniforms_at(self._counter, s.stop - s.start)
             self._counter += s.stop - s.start
         return out
 
@@ -126,7 +139,7 @@ class RngStream:
         while k < n:
             need = (n - k + 1) // 2  # accepted pairs still required
             m = max(int(need / 0.78) + 16, 32)  # candidate pairs this round
-            u = self._peek_uniforms(2 * m)
+            u = self._uniforms_at(self._counter, 2 * m)
             x = 2.0 * u[0::2] - 1.0
             y = 2.0 * u[1::2] - 1.0
             s = x * x + y * y

@@ -18,12 +18,12 @@ import numpy as np
 from ._blocks import blocked_max, blocks, dot
 from ._chi2 import MAX_DF, chdtrc
 from .bundle import _isotropic_blocks, _project_arrays, _spin, _turn, \
-    LineDensity, project_to_line, sample_bundle, sample_disk
+    LineDensity, project_to_line, sample_bundle
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
     TooFewSamples
 from .geometry import Ball, ConvexBody, bounding_radius, chord, \
     surface_area, volume
-from .haar import _count, sample_sphere2
+from .haar import _count, _CubeRows, sample_sphere2
 from .linespace import DirectedLine, slope_to_directed
 from .randkit import RngStream
 
@@ -109,13 +109,20 @@ def estimate_from_samples(x: np.ndarray) -> Estimate:
     n = x.size
     if n == 0:
         raise TooFewSamples("no samples to estimate from")
-    # scale by a power of two, which is exact, so that the squares in np.std
-    # neither overflow nor underflow
+    # scale by a power of two, which is exact, so that the squares neither
+    # overflow nor underflow
     e = math.frexp(max(np.max(x), -np.min(x)))[1]
     xs = np.ldexp(x, -e)
-    mean = float(np.ldexp(np.mean(xs), e))
-    stderr = float(np.ldexp(np.std(xs, ddof=1), e) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(mean, stderr, n)
+    # np.mean, then np.std(xs, ddof=1) step by step as numpy's _var takes
+    # them, the same bits, but centring and squaring xs in place
+    m = np.add.reduce(xs) / n
+    mean = float(np.ldexp(m, e))
+    if n == 1:
+        return Estimate(mean, 0.0, n)
+    xs -= m
+    np.square(xs, out=xs)
+    sd = np.sqrt(np.add.reduce(xs) / (n - 1))
+    return Estimate(mean, float(np.ldexp(sd, e) / np.sqrt(n)), n)
 
 
 def effective_sample_size(w: np.ndarray) -> float:
@@ -321,12 +328,14 @@ def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    # the disk is drawn whole: its redraws follow its whole first pass
-    mid = sample_disk(rng, 1.0, n) if method == "midpoint" else None
+    # the midpoint disk keeps its redrawn rows and rebuilds the others from
+    # their words, a block at a time
+    mid = _CubeRows(rng, n, 2) if method == "midpoint" else None
     out = np.empty(n, dtype=np.float64)
     for s in blocks(n):
         if method == "midpoint":
-            out[s] = dot(mid[s], mid[s]) < 0.25
+            m = mid[s]
+            out[s] = dot(m, m) < 0.25
             continue
         u = rng.uniforms(2 * (s.stop - s.start))  # the same words, in order
         if method == "endpoints":

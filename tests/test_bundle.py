@@ -158,15 +158,16 @@ def test_isotropic_lines_distribution():
 
 
 def test_isotropic_lines_build_no_whole_batch_temporaries():
-    # the draw keeps the quaternions and offsets it turns into lines, block
-    # by block: about 2x the output; a (n, 3, 3) frame array alone is 1.5x
+    # the draw keeps the quaternions and the redrawn offsets it turns into
+    # lines, block by block: about 2x the output; a (n, 3, 3) frame array
+    # alone is 1.5x
     tracemalloc.start()
     try:
         lines = sample_isotropic(make_rng(7), 1.5, 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * (lines.u.nbytes + lines.foot.nbytes)
+    assert peak <= 2.25 * (lines.u.nbytes + lines.foot.nbytes)
 
 
 def _lines_through_frames(rng, radius, n):

@@ -9,6 +9,7 @@ from fiberline.bundle import sample_bundle, tilt_density, uniform_density
 from fiberline.errors import NotUnit, PoleSingularity
 from fiberline.haar import (
     _cube_rejection,
+    _CubeRows,
     angle_between,
     hopf_map,
     naive_frame,
@@ -361,4 +362,27 @@ def test_redraw_keeps_the_bits_of_the_keep_only_loop(case, block, monkeypatch):
     rng, ref = make_rng(31), make_rng(31)
     got, want = draw(rng), oracle(ref)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng._counter == ref._counter
+
+
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+@pytest.mark.parametrize("m", [1, 16383, 16385, 40000])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cube_rows_are_the_rows_of_the_whole_draw(dim, m, block, monkeypatch):
+    # rows rebuilt from their words, block-aligned or not, are every bit the
+    # rows of the whole draw, and the draw ends at the same stream counter
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    if block == 1:  # every row is a block edge; 500 rows show it
+        m = min(m, 500)
+    rng, ref = make_rng(32), make_rng(32)
+    rng.uniforms(3)
+    ref.uniforms(3)
+    rows = _CubeRows(rng, m, dim)
+    want = _cube_rejection(ref, m, dim)
+    assert rng._counter == ref._counter
+    got = np.concatenate([rows[s] for s in blocks(m)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for s in (slice(min(5, m), min(77, m)), slice(0, m), slice(m // 3, m - 1),
+              slice(m, m)):
+        assert np.array_equal(rows[s].view(np.int64), want[s].view(np.int64))
     assert rng._counter == ref._counter

@@ -5,9 +5,10 @@ sampler is wrong.  Each row below injects one defect with ``unittest.mock``,
 runs a CLI experiment at its default ``--n`` and seed 1, and requires exit 1
 with the named test more than 3 sigma (or below the p-value floor) off.
 The patches target the names the CLI actually calls:
-``fiberline.bundle.sample_disk`` for the disk offsets of every isotropic
-line, ``fiberline.haar.sample_sphere3`` for the frames of every isotropic
-line and every ``sample_bundle`` proposal (and of ``sample_rotation``),
+``fiberline.bundle._CubeRows`` for the unit-disk offsets of every
+isotropic line (a whole array stands in for it: it slices alike),
+``fiberline.haar.sample_sphere3`` for the frames of every isotropic line
+and every ``sample_bundle`` proposal (and of ``sample_rotation``),
 ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions,
 ``fiberline.stats.chord`` for the chords of ``chord`` and
 ``fiberline.cli.bertrand_indicators`` for ``bertrand``.
@@ -24,7 +25,7 @@ import fiberline.stats
 from fiberline.cli import main
 from fiberline.geometry import Halfspaces
 
-_real_disk = fiberline.bundle.sample_disk
+_real_disk = fiberline.bundle._CubeRows
 _real_chord = fiberline.stats.chord
 _real_bertrand = fiberline.stats.bertrand_indicators
 
@@ -33,16 +34,16 @@ TETRAHEDRON = [{"normal": n, "offset": 1.0} for n in
                ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
 
 
-def _disk_linear_radius(rng, radius, n):
-    """r = R U instead of R sqrt(U): offsets crowd the disk's centre."""
+def _disk_linear_radius(rng, n, dim):
+    """r = U instead of sqrt(U): offsets crowd the disk's centre."""
     u = rng.uniforms(2 * n)
-    r, phi = radius * u[0::2], 2.0 * np.pi * u[1::2]
+    r, phi = u[0::2], 2.0 * np.pi * u[1::2]
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
 
 
-def _disk_short(rng, radius, n):
+def _disk_short(rng, n, dim):
     """A disk 1% smaller than the sampling sphere's cross-section."""
-    return _real_disk(rng, 0.99 * radius, n)
+    return 0.99 * _real_disk(rng, n, dim)[0:n]
 
 
 def _cube_quaternions(rng, n):
@@ -66,7 +67,7 @@ def _bertrand_swapped(rng, method, n):
     return _real_bertrand(rng, "radial" if method == "midpoint" else method, n)
 
 
-DISK = "fiberline.bundle.sample_disk"
+DISK = "fiberline.bundle._CubeRows"
 QUATS = ("fiberline.haar.sample_sphere3", "fiberline.cli.sample_sphere3")
 
 # defect -> (the names it replaces, the replacement)
