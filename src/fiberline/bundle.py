@@ -26,7 +26,7 @@ import numpy as np
 from . import haar
 from ._blocks import blocked_max, blocks, dot
 from .haar import _ROTATION, _count, _cube_rejection, _CubeRows, \
-    _rejection, _unit_columns, _unit_norms, quat_to_rotation, \
+    _QuatRows, _rejection, _unit_columns, _unit_norms, quat_to_rotation, \
     sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
@@ -194,17 +194,17 @@ def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
 
 def _isotropic_blocks(rng: RngStream, radius: float, m: int):
     """``sample_isotropic``'s m lines as (slice, u, foot), one block at a
-    time.  The quaternions are drawn whole, as their stream order requires,
-    and then the offsets, the bits of ``sample_disk``, as a ``_CubeRows``
-    draw that keeps only its redrawn rows; no line table of all m rows is
-    built."""
+    time.  The quaternions, the bits of ``sample_sphere3``, are a
+    ``_QuatRows`` draw and the offsets, the bits of ``sample_disk``, a
+    ``_CubeRows`` draw: each keeps only its redrawn rows (and the
+    quaternions a stream checkpoint a block) and rebuilds the others from
+    their words, so no array of all m rows is held."""
     _check_radius(radius)
-    # looked up on haar at call time: replacing haar.sample_sphere3 replaces
-    # these frames too
-    q = haar.sample_sphere3(rng, m)
+    q = _QuatRows(rng, m)
     disk = _CubeRows(rng, m, 2)
     for s in blocks(m):
-        qs = _unit_columns(q[s], _unit_norms(q[s], "quaternion"))
+        qb = q[s]
+        qs = _unit_columns(qb, _unit_norms(qb, "quaternion"))
         r = disk[s] * radius
         r1, r2 = r[:, 0], r[:, 1]
         u = np.empty((len(r1), 3), dtype=np.float64)

@@ -343,7 +343,7 @@ def _cmd_chord(args, argv: list[str]) -> dict:
                     lambda st, m: isotropic_chords(st, body, m, args.radius))
     )
     hit = ch > 0.0
-    rate = estimate_from_samples(hit.astype(np.float64))
+    rate = estimate_from_samples(hit)
     estimates = {"hit_rate": asdict(rate)}
     oracles = {"hit_rate": hit_rate_oracle(body, args.radius)}
     tests = {}

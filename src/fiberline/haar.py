@@ -9,7 +9,9 @@ Every draw ends in one of two kernels: ``_redraw`` stores every candidate a
 draw makes and draws the rejected rows again (cube points outside the ball,
 vectors too short to normalize), and ``_rejection`` keeps proposals with
 probability f/bound.  ``_CubeRows`` is ``_redraw``'s cube draw held as its
-redrawn rows only, the others rebuilt from their stream words on demand.
+redrawn rows only, the others rebuilt from their stream words on demand;
+``_QuatRows`` holds ``sample_sphere3``'s draw alike, with the stream's
+position at the start of each block to rebuild its gaussians from.
 
 Every sampler takes a count n and returns a batch with a leading axis of
 length n.
@@ -23,7 +25,7 @@ import numpy as np
 from ._blocks import blocked_max, blocks, dot
 from .errors import BoundViolated, NonFinite, NotUnit, PoleSingularity, \
     RejectionStall
-from .randkit import RngStream
+from .randkit import RngStream, _polar_scale
 
 __all__ = [
     "sample_sphere2",
@@ -164,6 +166,68 @@ class _CubeRows:
         lo, hi = np.searchsorted(self._missed, (start, stop))
         c[self._missed[lo:hi] - start] = self._redrawn[lo:hi]
         return c
+
+
+class _QuatRows:
+    """``sample_sphere3(rng, m)``, on the same words and leaving the stream
+    at the same counter, but holding only the stream's ``(counter, spare)``
+    at the start of each block and the rows its first pass rejects;
+    indexing with a slice rebuilds the rows from their block's checkpoint.
+
+    A row takes two accepted polar pairs, or one pair and two halves after
+    a pending spare, so its norm^2 is at least -2 ln of the product of its
+    whole pairs' s = x^2 + y^2.  The first pass only scans the pairs: a row
+    whose product is at most exp(-_TINY_NORM^2) is certainly kept, with a
+    2x margin in norm^2, and only a block holding any other row has its
+    gaussians computed, for ``_normalized``'s keep mask.  The rejected rows
+    take, in order, the rows of ``sample_sphere3(rng, misses)`` drawn right
+    after the first pass, which is how ``_redraw`` fills them.
+    """
+
+    def __init__(self, rng: RngStream, m: int):
+        self._rng = rng
+        self._step = next(blocks(m), slice(0, 1)).stop  # rows a block
+        self._checkpoints = []
+        sure = np.exp(-_TINY_NORM ** 2)
+        missed = []
+        for s in blocks(m):
+            k = s.stop - s.start
+            start, spare = rng._counter, rng._spare
+            self._checkpoints.append((start, spare))
+            ps = np.empty(2 * k, dtype=np.float64)  # s of the block's pairs
+            j = 0
+            for c in blocks(2 * k, 2):
+                for x, y, ss, idx in rng._accepted_pairs(c.stop - c.start):
+                    ps[j:j + idx.size] = ss[idx]
+                    j += idx.size
+                    if idx.size:
+                        y_last = y[idx[-1]]
+            if spare is None:
+                ok = ps[0::2] * ps[1::2] <= sure
+            else:
+                ok = ps[0::2] <= sure
+                # the last row took the first half of the block's last
+                # pair; its second half is pending now
+                rng._spare = float(y_last * _polar_scale(ps[-1:])[0])
+            if not ok.all():
+                ok, _ = _normalized(
+                    rng._gaussians_at(start, spare, 4 * k).reshape(-1, 4))
+                missed.append(s.start + np.flatnonzero(~ok))
+        self._missed = np.concatenate(missed) if missed else np.arange(0)
+        self._redrawn = _unit_gaussians(rng, self._missed.size, 4)
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        """Rows s.start .. s.stop - 1."""
+        start, stop = s.start, s.stop
+        if stop <= start:
+            return np.empty((0, 4), dtype=np.float64)
+        b = start // self._step
+        first = b * self._step
+        g = self._rng._gaussians_at(*self._checkpoints[b], 4 * (stop - first))
+        _, q = _normalized(g[4 * (start - first):].reshape(-1, 4))
+        lo, hi = np.searchsorted(self._missed, (start, stop))
+        q[self._missed[lo:hi] - start] = self._redrawn[lo:hi]
+        return q
 
 
 def _unit_norms(v: np.ndarray, what: str) -> np.ndarray:

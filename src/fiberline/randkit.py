@@ -136,31 +136,57 @@ class RngStream:
             out[0] = self._spare
             self._spare = None
             k = 1
-        while k < n:
-            need = (n - k + 1) // 2  # accepted pairs still required
+        for x, y, s, idx in self._accepted_pairs((n - k + 1) // 2):
+            s = s[idx]
+            f = _polar_scale(s)
+            pair = np.empty(2 * idx.size, dtype=np.float64)
+            pair[0::2] = x[idx] * f
+            pair[1::2] = y[idx] * f
+            take = min(pair.size, n - k)
+            out[k:k + take] = pair[:take]
+            k += take
+            if take < pair.size:
+                self._spare = float(pair[take])
+
+    def _accepted_pairs(self, need: int):
+        """The polar method's pair scan: yields, a round at a time, the
+        candidate pairs (x, y) of the square [-1, 1)^2, their s = x^2 + y^2
+        and the indices ``idx`` of the accepted ones it uses, until ``need``
+        pairs are accepted.  The counter moves up to the last accepted pair
+        used and no further: later candidates were never "seen" by scalar
+        draws.  The spare is left alone."""
+        while need > 0:
             m = max(int(need / 0.78) + 16, 32)  # candidate pairs this round
-            u = self._uniforms_at(self._counter, 2 * m)
-            x = 2.0 * u[0::2] - 1.0
-            y = 2.0 * u[1::2] - 1.0
-            s = x * x + y * y
-            ok = (s > 0.0) & (s < 1.0)
-            idx = np.nonzero(ok)[0]
+            c = self._uniforms_at(self._counter, 2 * m)
+            c *= 2.0  # 2u - 1, in place
+            c -= 1.0
+            x, y = c[0::2], c[1::2]
+            s = x * x
+            s += y * y
+            idx = np.nonzero((s > 0.0) & (s < 1.0))[0]
             if idx.size >= need:
                 idx = idx[:need]
-                # rewind: later candidates were never "seen" by scalar draws
                 self._counter += 2 * (int(idx[-1]) + 1)
             else:
                 self._counter += 2 * m
-            if idx.size:
-                f = np.sqrt(-2.0 * np.log(s[idx]) / s[idx])
-                pair = np.empty(2 * idx.size, dtype=np.float64)
-                pair[0::2] = x[idx] * f
-                pair[1::2] = y[idx] * f
-                take = min(pair.size, n - k)
-                out[k:k + take] = pair[:take]
-                k += take
-                if take < pair.size:
-                    self._spare = float(pair[take])
+            need -= idx.size
+            yield x, y, s, idx
+
+    def _gaussians_at(self, start: int, spare: float | None,
+                      n: int) -> np.ndarray:
+        """The next n gaussians of this stream as it stood at counter
+        ``start`` holding ``spare``, read without moving it: a draw can
+        rebuild its gaussians from a checkpoint long after it consumed
+        them."""
+        at = RngStream(self.seed, self.stream_id)
+        at._counter, at._spare = start, spare
+        return at.gaussians(n)
+
+
+def _polar_scale(s: np.ndarray) -> np.ndarray:
+    """sqrt(-2 ln s / s), the factor taking an accepted polar pair (x, y)
+    with s = x^2 + y^2 to two standard normals."""
+    return np.sqrt(-2.0 * np.log(s) / s)
 
 
 def make_rng(seed: int) -> RngStream:

@@ -104,15 +104,17 @@ class GaugeAudit:
 
 
 def estimate_from_samples(x: np.ndarray) -> Estimate:
-    """Mean +- stderr of 1-d samples; stderr uses the n-1 variance."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    n = x.size
+    """Mean +- stderr of 1-d samples; stderr uses the n-1 variance.  The
+    samples may be of any real dtype, 0/1 events as bool included: the one
+    float64 copy made of them is all the memory an estimate takes."""
+    xs = np.array(x, dtype=np.float64).reshape(-1)
+    n = xs.size
     if n == 0:
         raise TooFewSamples("no samples to estimate from")
     # scale by a power of two, which is exact, so that the squares neither
     # overflow nor underflow
-    e = math.frexp(max(np.max(x), -np.min(x)))[1]
-    xs = np.ldexp(x, -e)
+    e = math.frexp(max(np.max(xs), -np.min(xs)))[1]
+    np.ldexp(xs, -e, out=xs)
     # np.mean, then np.std(xs, ddof=1) step by step as numpy's _var takes
     # them, the same bits, but centring and squaring xs in place
     m = np.add.reduce(xs) / n
@@ -315,7 +317,7 @@ def bertrand_oracle(method: str) -> float:
 
 
 def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
-    """0/1 array: does the sampled chord beat the inscribed triangle side.
+    """Bool array: does the sampled chord beat the inscribed triangle side.
 
     Exact comparisons on the uniforms (u1 - u2 and 2u - 1 are exact too):
 
@@ -331,7 +333,7 @@ def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
     # the midpoint disk keeps its redrawn rows and rebuilds the others from
     # their words, a block at a time
     mid = _CubeRows(rng, n, 2) if method == "midpoint" else None
-    out = np.empty(n, dtype=np.float64)
+    out = np.empty(n, dtype=bool)
     for s in blocks(n):
         if method == "midpoint":
             m = mid[s]
@@ -414,7 +416,7 @@ def mean_chord_experiment(
     """
     ch = isotropic_chords(rng, body, n, radius)
     hit = ch > 0.0
-    rate = estimate_from_samples(hit.astype(np.float64))
+    rate = estimate_from_samples(hit)
     if not np.any(hit):
         raise NoHits("no sampled line met the body")
     return rate, estimate_from_samples(ch[hit])

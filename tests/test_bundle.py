@@ -158,22 +158,22 @@ def test_isotropic_lines_distribution():
 
 
 def test_isotropic_lines_build_no_whole_batch_temporaries():
-    # the draw keeps the quaternions and the redrawn offsets it turns into
-    # lines, block by block: about 2x the output; a (n, 3, 3) frame array
-    # alone is 1.5x
+    # the draw keeps only the redrawn offsets and quaternions it turns into
+    # lines, block by block: about 1.5x the output, 2.1x with whole
+    # quaternions; a (n, 3, 3) frame array alone is 1.5x
     tracemalloc.start()
     try:
         lines = sample_isotropic(make_rng(7), 1.5, 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * (lines.u.nbytes + lines.foot.nbytes)
+    assert peak <= 1.6 * (lines.u.nbytes + lines.foot.nbytes)
 
 
-def _lines_through_frames(rng, radius, n):
+def _lines_through_frames(rng, radius, n, quaternions=None):
     # the reference: each block of quaternions made into (k, 3, 3) frames,
     # then projected
-    q = fiberline.haar.sample_sphere3(rng, n)
+    q = (quaternions or fiberline.haar.sample_sphere3)(rng, n)
     r = sample_disk(rng, radius, n)
     u, foot = np.empty((n, 3)), np.empty((n, 3))
     for s in fiberline._blocks.blocks(n):
@@ -195,14 +195,14 @@ def test_isotropic_lines_are_the_projected_frames(block, monkeypatch):
 
 
 def _spoiled_quaternions(monkeypatch, spoil):
-    real = fiberline.haar.sample_sphere3
-
+    # a whole (k, 4) array stands in for the rows: it slices alike
     def draw(rng, k):
-        q = real(rng, k)
+        q = fiberline.haar.sample_sphere3(rng, k)
         spoil(q)
         return q
 
-    monkeypatch.setattr(fiberline.haar, "sample_sphere3", draw)
+    monkeypatch.setattr(fiberline.bundle, "_QuatRows", draw)
+    return draw
 
 
 def _scaled(q):
@@ -220,9 +220,9 @@ def test_isotropic_lines_check_quaternions_as_frames_do(spoil, block,
     # quaternions off the unit sphere, or NaN (which a plain max over block
     # maxima would drop), fail with quat_to_rotation's error
     monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
-    _spoiled_quaternions(monkeypatch, spoil)
+    spoiled = _spoiled_quaternions(monkeypatch, spoil)
     with pytest.raises(NotUnit) as want:
-        _lines_through_frames(make_rng(13), 1.0, 100)
+        _lines_through_frames(make_rng(13), 1.0, 100, spoiled)
     with pytest.raises(NotUnit) as got:
         sample_isotropic(make_rng(13), 1.0, 100)
     assert str(got.value) == str(want.value)

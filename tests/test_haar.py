@@ -10,6 +10,7 @@ from fiberline.errors import NotUnit, PoleSingularity
 from fiberline.haar import (
     _cube_rejection,
     _CubeRows,
+    _QuatRows,
     angle_between,
     hopf_map,
     naive_frame,
@@ -379,6 +380,13 @@ def test_cube_rows_are_the_rows_of_the_whole_draw(dim, m, block, monkeypatch):
     ref.uniforms(3)
     rows = _CubeRows(rng, m, dim)
     want = _cube_rejection(ref, m, dim)
+    _assert_rows_of(rows, want, rng, ref)
+
+
+def _assert_rows_of(rows, want, rng, ref):
+    """rows, sliced by blocks and across them, are every bit want, and
+    slicing leaves rng where ref is."""
+    m = len(want)
     assert rng._counter == ref._counter
     got = np.concatenate([rows[s] for s in blocks(m)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -386,3 +394,28 @@ def test_cube_rows_are_the_rows_of_the_whole_draw(dim, m, block, monkeypatch):
               slice(m, m)):
         assert np.array_equal(rows[s].view(np.int64), want[s].view(np.int64))
     assert rng._counter == ref._counter
+
+
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+@pytest.mark.parametrize("floor", [None, 1.2])
+@pytest.mark.parametrize("spare", [False, True])
+def test_quat_rows_are_the_rows_of_sample_sphere3(spare, floor, block,
+                                                  monkeypatch):
+    # a pending spare shifts every row half a polar pair; a norm floor of
+    # 1.2 rejects about 1 row in 6 and leaves 42% of the rows in doubt
+    # after the pair scan (76% after a spare), so at block 1 both the
+    # scan's verdict and the exact gaussians decide rows, and the redraw
+    # pass runs
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    if floor is not None:
+        monkeypatch.setattr(fiberline.haar, "_TINY_NORM", floor)
+    m = 3 * block + 5 if block > 1 else 500
+    rng, ref = make_rng(34), make_rng(34)
+    if spare:
+        rng.gaussians(1)
+        ref.gaussians(1)
+    rows = _QuatRows(rng, m)
+    want = sample_sphere3(ref, m)
+    assert rng._spare == ref._spare
+    assert (rows._missed.size > 0) == (floor is not None)
+    _assert_rows_of(rows, want, rng, ref)

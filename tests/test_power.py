@@ -5,10 +5,9 @@ sampler is wrong.  Each row below injects one defect with ``unittest.mock``,
 runs a CLI experiment at its default ``--n`` and seed 1, and requires exit 1
 with the named test more than 3 sigma (or below the p-value floor) off.
 The patches target the names the CLI actually calls:
-``fiberline.bundle._CubeRows`` for the unit-disk offsets of every
-isotropic line (a whole array stands in for it: it slices alike),
-``fiberline.haar.sample_sphere3`` for the frames of every isotropic line
-and every ``sample_bundle`` proposal (and of ``sample_rotation``),
+``fiberline.bundle._CubeRows`` and ``fiberline.bundle._QuatRows`` for
+the unit-disk offsets and the frames of every isotropic line (a whole
+array stands in for each: it slices alike),
 ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions,
 ``fiberline.stats.chord`` for the chords of ``chord`` and
 ``fiberline.cli.bertrand_indicators`` for ``bertrand``.
@@ -68,7 +67,7 @@ def _bertrand_swapped(rng, method, n):
 
 
 DISK = "fiberline.bundle._CubeRows"
-QUATS = ("fiberline.haar.sample_sphere3", "fiberline.cli.sample_sphere3")
+QUATS = ("fiberline.bundle._QuatRows", "fiberline.cli.sample_sphere3")
 
 # defect -> (the names it replaces, the replacement)
 DEFECTS = {
