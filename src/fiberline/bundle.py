@@ -25,9 +25,10 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
-from .haar import _ROTATION, _count, _cube_rejection, _CubeRows, \
-    _QuatRows, _rejection, _unit_columns, _unit_norms, quat_to_rotation, \
-    sample_sphere2, tangent_from_ball
+from .haar import _ROTATION, _count, _cube_candidates, _cube_rejection, \
+    _cube_kept, _gaussian_candidates, _rejection, _replayed, _sphere3_kept, \
+    _unit_columns, _unit_norms, quat_to_rotation, sample_sphere2, \
+    tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -194,18 +195,15 @@ def sample_isotropic(rng: RngStream, radius: float, n: int) -> DirectedLine:
 
 def _isotropic_blocks(rng: RngStream, radius: float, m: int):
     """``sample_isotropic``'s m lines as (slice, u, foot), one block at a
-    time.  The quaternions, the bits of ``sample_sphere3``, are a
-    ``_QuatRows`` draw and the offsets, the bits of ``sample_disk``, a
-    ``_CubeRows`` draw: each keeps only its redrawn rows (and the
-    quaternions a stream checkpoint a block) and rebuilds the others from
-    their words, so no array of all m rows is held."""
+    time.  The quaternions, the bits of ``sample_sphere3``, and then the
+    offsets, the bits of ``sample_disk``, are each replayed a block at a
+    time from a copy of the stream, so no array of all m rows is held."""
     _check_radius(radius)
-    q = _QuatRows(rng, m)
-    disk = _CubeRows(rng, m, 2)
-    for s in blocks(m):
-        qb = q[s]
+    quats = _replayed(rng, m, 4, _gaussian_candidates, _sphere3_kept)
+    disk = _replayed(rng, m, 2, _cube_candidates, _cube_kept)
+    for (s, qb), (_, d) in zip(quats, disk):
         qs = _unit_columns(qb, _unit_norms(qb, "quaternion"))
-        r = disk[s] * radius
+        r = d * radius
         r1, r2 = r[:, 0], r[:, 1]
         u = np.empty((len(r1), 3), dtype=np.float64)
         foot = np.empty((len(r1), 3), dtype=np.float64)

@@ -8,16 +8,16 @@ give the same rotation.
 Every draw ends in one of two kernels: ``_redraw`` stores every candidate a
 draw makes and draws the rejected rows again (cube points outside the ball,
 vectors too short to normalize), and ``_rejection`` keeps proposals with
-probability f/bound.  ``_CubeRows`` is ``_redraw``'s cube draw held as its
-redrawn rows only, the others rebuilt from their stream words on demand;
-``_QuatRows`` holds ``sample_sphere3``'s draw alike, with the stream's
-position at the start of each block to rebuild its gaussians from.
+probability f/bound.  ``_replayed`` hands out a ``_redraw`` draw a block
+at a time: it runs the first pass and the redraws on the stream, then
+draws each block again from a copy of the stream.
 
 Every sampler takes a count n and returns a batch with a leading axis of
 length n.
 """
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from ._blocks import blocked_max, blocks, dot
 from .errors import BoundViolated, NonFinite, NotUnit, PoleSingularity, \
     RejectionStall
-from .randkit import RngStream, _polar_scale
+from .randkit import RngStream
 
 __all__ = [
     "sample_sphere2",
@@ -92,11 +92,17 @@ def _normalized(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nrm > _TINY_NORM, v
 
 
+def _gaussian_candidates(rng: RngStream, k: int,
+                         dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """k candidates of ``_unit_gaussians``, as (keep mask, rows)."""
+    return _normalized(rng.gaussians(dim * k).reshape(-1, dim))
+
+
 def _unit_gaussians(rng: RngStream, m: int, dim: int) -> np.ndarray:
     """m unit vectors in R^dim from normalized gaussians, redrawing the
     (astronomically rare) rows whose norm underflows below _TINY_NORM."""
-    return _redraw(m, dim, lambda rows: _normalized(
-        rng.gaussians(dim * rows.size).reshape(-1, dim)), sequential=True)
+    return _redraw(m, dim, lambda rows: _gaussian_candidates(
+        rng, rows.size, dim), sequential=True)
 
 
 def sample_sphere2(rng: RngStream, n: int) -> np.ndarray:
@@ -109,11 +115,11 @@ def sample_sphere3(rng: RngStream, n: int) -> np.ndarray:
     return _unit_gaussians(rng, _count(n), 4)
 
 
-def _cube_candidates(u: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points 2u - 1 of [-1, 1)^dim made from the uniforms u, dim words
-    a point and computed in place, and the mask of those in the closed unit
-    ball."""
-    c = u.reshape(-1, dim)
+def _cube_candidates(rng: RngStream, k: int,
+                     dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """k candidates of ``_cube_rejection``: the mask of those in the closed
+    unit ball, and the points 2u - 1 of [-1, 1)^dim, computed in place."""
+    c = rng.uniforms(dim * k).reshape(-1, dim)
     c *= 2.0
     c -= 1.0
     return dot(c, c) <= 1.0, c
@@ -128,106 +134,80 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
     pi/6.
     """
     return _redraw(m, dim, lambda rows: _cube_candidates(
-        rng.uniforms(dim * rows.size), dim), sequential=True)
+        rng, rows.size, dim), sequential=True)
 
 
-class _CubeRows:
-    """``_cube_rejection(rng, m, dim)``, on the same words and leaving the
-    stream at the same counter, but holding only the rows its first pass
-    misses; indexing with a slice rebuilds those rows from their words.
-
-    Candidate i is made from the words c0 + dim i .. c0 + dim i + dim - 1,
-    c0 being the counter at the draw.  The missed rows take, in order, the
-    rows of ``_cube_rejection(rng, misses, dim)`` drawn right after the
-    first pass, which is how ``_redraw`` fills them.  In the plane about
-    21% of the rows are missed.
-    """
-
-    def __init__(self, rng: RngStream, m: int, dim: int):
-        self._rng, self._dim = rng, dim
-        self._c0 = rng._counter
-        kept = np.empty(m, dtype=bool)
-        for s in blocks(m):
-            kept[s], _ = _cube_candidates(
-                rng.uniforms(dim * (s.stop - s.start)), dim)
-        self._missed = np.flatnonzero(~kept)
-        # in one pass, not block by block like _cube_rejection: same words,
-        # but its freed whole-pass words keep later block temporaries on
-        # malloc's heap (block by block, chord box at n = 10^6 took twice
-        # the page faults)
-        self._redrawn = _redraw(self._missed.size, dim, lambda rows:
-                                _cube_candidates(rng.uniforms(dim * rows.size), dim))
-
-    def __getitem__(self, s: slice) -> np.ndarray:
-        """Rows s.start .. s.stop - 1."""
-        start, stop = s.start, s.stop
-        _, c = _cube_candidates(self._rng._uniforms_at(
-            self._c0 + self._dim * start, self._dim * (stop - start)), self._dim)
-        lo, hi = np.searchsorted(self._missed, (start, stop))
-        c[self._missed[lo:hi] - start] = self._redrawn[lo:hi]
-        return c
+def _cube_kept(rng: RngStream, m: int, dim: int) -> np.ndarray:
+    """The keep mask of ``_cube_rejection(rng, m, dim)``'s first pass, moving
+    the stream as that pass does.  In the plane about 21% of the rows are
+    rejected."""
+    kept = np.empty(m, dtype=bool)
+    for s in blocks(m):
+        kept[s], _ = _cube_candidates(rng, s.stop - s.start, dim)
+    return kept
 
 
-class _QuatRows:
-    """``sample_sphere3(rng, m)``, on the same words and leaving the stream
-    at the same counter, but holding only the stream's ``(counter, spare)``
-    at the start of each block and the rows its first pass rejects;
-    indexing with a slice rebuilds the rows from their block's checkpoint.
+def _sphere3_kept(rng: RngStream, m: int, dim: int) -> np.ndarray:
+    """The keep mask of ``sample_sphere3(rng, m)``'s first pass, moving the
+    stream, spare included, as that pass does; dim is 4.
 
     A row takes two accepted polar pairs, or one pair and two halves after
     a pending spare, so its norm^2 is at least -2 ln of the product of its
-    whole pairs' s = x^2 + y^2.  The first pass only scans the pairs: a row
-    whose product is at most exp(-_TINY_NORM^2) is certainly kept, with a
-    2x margin in norm^2, and only a block holding any other row has its
-    gaussians computed, for ``_normalized``'s keep mask.  The rejected rows
-    take, in order, the rows of ``sample_sphere3(rng, misses)`` drawn right
-    after the first pass, which is how ``_redraw`` fills them.
+    whole pairs' s = x^2 + y^2.  Only the pairs are scanned: a row whose
+    product is at most exp(-_TINY_NORM^2) is certainly kept, with a 2x
+    margin in norm^2, and only a block holding any other row has its
+    gaussians computed, from a copy of the stream at the block's start.
     """
+    sure = np.exp(-_TINY_NORM ** 2)
+    kept = np.empty(m, dtype=bool)
+    for s in blocks(m):
+        k = s.stop - s.start
+        at = copy.copy(rng)
+        ps = np.empty(2 * k, dtype=np.float64)  # s of the block's pairs
+        j = 0
+        for c in blocks(2 * k, 2):
+            for x, y, ss, idx in rng._accepted_pairs(c.stop - c.start):
+                ps[j:j + idx.size] = ss[idx]
+                j += idx.size
+                if idx.size:
+                    y_last = y[idx[-1]]
+        if at._spare is None:
+            kept[s] = ps[0::2] * ps[1::2] <= sure
+        else:
+            kept[s] = ps[0::2] <= sure
+            # the last row took the first half of the block's last pair;
+            # its second half is pending now
+            rng._pend_spare(y_last, ps[-1:])
+        if not kept[s].all():
+            kept[s], _ = _gaussian_candidates(at, k, 4)
+    return kept
 
-    def __init__(self, rng: RngStream, m: int):
-        self._rng = rng
-        self._step = next(blocks(m), slice(0, 1)).stop  # rows a block
-        self._checkpoints = []
-        sure = np.exp(-_TINY_NORM ** 2)
-        missed = []
+
+def _replayed(rng: RngStream, m: int, dim: int, draw: Callable,
+              kept: Callable):
+    """The m rows of ``_redraw``'s sequential draw by ``draw(rng, k, dim)``,
+    which returns (keep mask, rows), as (slice, rows) one block at a time.
+
+    The first pass, ``kept(rng, m, dim)``, and the redraws of the rows it
+    rejects run now, and leave the stream where the whole draw does.  The
+    blocks are drawn again from a copy of the stream as it stood before:
+    the stream is counter-based, so the copy reads the same words.
+    """
+    at = copy.copy(rng)
+    missed = np.flatnonzero(~kept(rng, m, dim))
+    # in one pass, not block by block: same words, but its freed words keep
+    # later block temporaries on malloc's heap (block by block, chord box at
+    # n = 10^6 took twice the page faults)
+    redrawn = _redraw(missed.size, dim, lambda r: draw(rng, r.size, dim))
+
+    def replay():
         for s in blocks(m):
-            k = s.stop - s.start
-            start, spare = rng._counter, rng._spare
-            self._checkpoints.append((start, spare))
-            ps = np.empty(2 * k, dtype=np.float64)  # s of the block's pairs
-            j = 0
-            for c in blocks(2 * k, 2):
-                for x, y, ss, idx in rng._accepted_pairs(c.stop - c.start):
-                    ps[j:j + idx.size] = ss[idx]
-                    j += idx.size
-                    if idx.size:
-                        y_last = y[idx[-1]]
-            if spare is None:
-                ok = ps[0::2] * ps[1::2] <= sure
-            else:
-                ok = ps[0::2] <= sure
-                # the last row took the first half of the block's last
-                # pair; its second half is pending now
-                rng._spare = float(y_last * _polar_scale(ps[-1:])[0])
-            if not ok.all():
-                ok, _ = _normalized(
-                    rng._gaussians_at(start, spare, 4 * k).reshape(-1, 4))
-                missed.append(s.start + np.flatnonzero(~ok))
-        self._missed = np.concatenate(missed) if missed else np.arange(0)
-        self._redrawn = _unit_gaussians(rng, self._missed.size, 4)
+            _, rows = draw(at, s.stop - s.start, dim)
+            lo, hi = np.searchsorted(missed, (s.start, s.stop))
+            rows[missed[lo:hi] - s.start] = redrawn[lo:hi]
+            yield s, rows
 
-    def __getitem__(self, s: slice) -> np.ndarray:
-        """Rows s.start .. s.stop - 1."""
-        start, stop = s.start, s.stop
-        if stop <= start:
-            return np.empty((0, 4), dtype=np.float64)
-        b = start // self._step
-        first = b * self._step
-        g = self._rng._gaussians_at(*self._checkpoints[b], 4 * (stop - first))
-        _, q = _normalized(g[4 * (start - first):].reshape(-1, 4))
-        lo, hi = np.searchsorted(self._missed, (start, stop))
-        q[self._missed[lo:hi] - start] = self._redrawn[lo:hi]
-        return q
+    return replay()
 
 
 def _unit_norms(v: np.ndarray, what: str) -> np.ndarray:

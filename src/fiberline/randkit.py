@@ -81,20 +81,15 @@ class RngStream:
         return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
                 f"counter={self._counter})")
 
-    def _raw(self, start: int, n: int) -> np.ndarray:
-        """Raw words for counter positions start .. start+n-1, computed in
-        place, so a block of words holds two word-sized arrays at a time."""
-        z = np.arange(n, dtype=np.uint64)
-        z += np.uint64(start & _MASK64)
-        z *= _GAMMA
-        z += self._base
-        return _mix(z)
-
-    def _uniforms_at(self, start: int, n: int) -> np.ndarray:
-        """The uniforms of counter positions start .. start+n-1, read
-        without moving the counter: a draw can rebuild rows from their
-        words long after it consumed them."""
-        x = self._raw(start, n)
+    def _uniforms_at(self, n: int) -> np.ndarray:
+        """The next n uniforms, read without moving the counter.  Their raw
+        words are computed in place, so a block of words holds two
+        word-sized arrays at a time."""
+        x = np.arange(n, dtype=np.uint64)
+        x += np.uint64(self._counter & _MASK64)
+        x *= _GAMMA
+        x += self._base
+        _mix(x)
         x >>= np.uint64(11)
         u = x.astype(np.float64)
         u *= _INV_2_53
@@ -107,7 +102,7 @@ class RngStream:
             raise FiberlineError("draw count must be nonnegative")
         out = np.empty(n, dtype=np.float64)
         for s in blocks(n):
-            out[s] = self._uniforms_at(self._counter, s.stop - s.start)
+            out[s] = self._uniforms_at(s.stop - s.start)
             self._counter += s.stop - s.start
         return out
 
@@ -157,7 +152,7 @@ class RngStream:
         draws.  The spare is left alone."""
         while need > 0:
             m = max(int(need / 0.78) + 16, 32)  # candidate pairs this round
-            c = self._uniforms_at(self._counter, 2 * m)
+            c = self._uniforms_at(2 * m)
             c *= 2.0  # 2u - 1, in place
             c -= 1.0
             x, y = c[0::2], c[1::2]
@@ -172,15 +167,11 @@ class RngStream:
             need -= idx.size
             yield x, y, s, idx
 
-    def _gaussians_at(self, start: int, spare: float | None,
-                      n: int) -> np.ndarray:
-        """The next n gaussians of this stream as it stood at counter
-        ``start`` holding ``spare``, read without moving it: a draw can
-        rebuild its gaussians from a checkpoint long after it consumed
-        them."""
-        at = RngStream(self.seed, self.stream_id)
-        at._counter, at._spare = start, spare
-        return at.gaussians(n)
+    def _pend_spare(self, y: float, s: np.ndarray) -> None:
+        """Leave pending the second gaussian of the accepted polar pair
+        (x, y) whose s = x^2 + y^2 is the one entry of ``s``, as a draw
+        that uses only the pair's first gaussian does."""
+        self._spare = float(y * _polar_scale(s)[0])
 
 
 def _polar_scale(s: np.ndarray) -> np.ndarray:

@@ -17,13 +17,14 @@ import numpy as np
 
 from ._blocks import blocked_max, blocks, dot
 from ._chi2 import MAX_DF, chdtrc
-from .bundle import _isotropic_blocks, _project_arrays, _spin, _turn, \
-    LineDensity, project_to_line, sample_bundle
+from .bundle import _check_radius, _isotropic_blocks, _project_arrays, \
+    _spin, _turn, LineDensity, project_to_line, sample_bundle
 from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
     TooFewSamples
 from .geometry import Ball, ConvexBody, bounding_radius, chord, \
     surface_area, volume
-from .haar import _count, _CubeRows, sample_sphere2
+from .haar import _count, _cube_candidates, _cube_kept, _replayed, \
+    sample_sphere2
 from .linespace import DirectedLine, slope_to_directed
 from .randkit import RngStream
 
@@ -330,13 +331,13 @@ def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    # the midpoint disk keeps its redrawn rows and rebuilds the others from
-    # their words, a block at a time
-    mid = _CubeRows(rng, n, 2) if method == "midpoint" else None
+    # the midpoint disk, replayed a block at a time from a stream copy
+    mid = (_replayed(rng, n, 2, _cube_candidates, _cube_kept)
+           if method == "midpoint" else None)
     out = np.empty(n, dtype=bool)
     for s in blocks(n):
         if method == "midpoint":
-            m = mid[s]
+            _, m = next(mid)
             out[s] = dot(m, m) < 0.25
             continue
         u = rng.uniforms(2 * (s.stop - s.start))  # the same words, in order
@@ -370,8 +371,7 @@ def mean_chord_oracle(body: ConvexBody) -> float:
 
 def _require_radius(body: ConvexBody, radius: float) -> None:
     r = float(radius)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError("radius must be positive and finite")
+    _check_radius(r)
     # inside the sampling ball 4V <= 16/3 pi R^3, while S and the chord
     # kernels' squared distances stay below 4 pi R^2: all are finite when
     # 32 R^3 is

@@ -1,6 +1,7 @@
 """The row dot product's contract, no BLAS call outside bundle._spin, no
-reduction along rows anywhere in the package, and no worker mechanism but
-the shard runner's forked processes."""
+reduction along rows anywhere in the package, no worker mechanism but the
+shard runner's forked processes, and no stream position set outside
+randkit."""
 import ast
 import pathlib
 
@@ -17,6 +18,8 @@ _BLAS_NAMES = {"linalg", "dot", "matmul", "inner", "einsum"}
 _REDUCTIONS = {"max", "min", "amax", "amin", "any", "all", "sum"}
 # modules that start threads or worker pools
 _WORKER_MODULES = {"threading", "concurrent", "multiprocessing", "_thread"}
+# an RngStream's position: its word counter and its pending polar spare
+_STREAM_STATE = {"_counter", "_spare"}
 
 
 def _rows(rng, k, n=100_000):
@@ -166,6 +169,44 @@ def test_no_threads_or_pools():
     found = {}
     for path in sorted(SRC.glob("*.py")):
         lines = _worker_imports(path.read_text())
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def _stream_state_writes(source: str) -> list[int]:
+    """Line numbers in ``source`` that assign a ``_counter`` or ``_spare``
+    attribute, directly or through ``setattr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and node.attr in _STREAM_STATE:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "setattr" and len(node.args) > 1 \
+                and _literal(node.args[1]) in _STREAM_STATE:
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_stream_state_guard_sees_every_form():
+    for line in ("rng._counter = 0", "rng._spare += 1.0",
+                 "a._counter, a._spare = c, s", "rng._spare: float = x",
+                 "setattr(rng, '_counter', 5)", "for rng._counter in r: pass"):
+        assert _stream_state_writes(line) == [1], line
+    for line in ("c = rng._counter", "f(rng._spare)", "rng.counter = 1",
+                 "setattr(rng, name, 5)", "_counter = 3"):
+        assert _stream_state_writes(line) == [], line
+
+
+def test_only_randkit_moves_a_stream():
+    # the polar method's spare rule and the word counter live in randkit
+    # alone; other modules read a stream's position or copy the stream
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "randkit.py":
+            continue
+        lines = _stream_state_writes(path.read_text())
         if lines:
             found[path.name] = lines
     assert found == {}

@@ -195,13 +195,20 @@ def test_isotropic_lines_are_the_projected_frames(block, monkeypatch):
 
 
 def _spoiled_quaternions(monkeypatch, spoil):
-    # a whole (k, 4) array stands in for the rows: it slices alike
+    # a whole (k, 4) array stands in for the replayed quaternions, handed
+    # out block by block; the offsets are replayed as ever
     def draw(rng, k):
         q = fiberline.haar.sample_sphere3(rng, k)
         spoil(q)
         return q
 
-    monkeypatch.setattr(fiberline.bundle, "_QuatRows", draw)
+    def replayed(rng, m, dim, *passes):
+        if dim != 4:
+            return fiberline.haar._replayed(rng, m, dim, *passes)
+        q = draw(rng, m)
+        return ((s, q[s]) for s in fiberline._blocks.blocks(m))
+
+    monkeypatch.setattr(fiberline.bundle, "_replayed", replayed)
     return draw
 
 

@@ -8,9 +8,12 @@ from fiberline._blocks import blocks, dot
 from fiberline.bundle import sample_bundle, tilt_density, uniform_density
 from fiberline.errors import NotUnit, PoleSingularity
 from fiberline.haar import (
+    _cube_candidates,
+    _cube_kept,
     _cube_rejection,
-    _CubeRows,
-    _QuatRows,
+    _gaussian_candidates,
+    _replayed,
+    _sphere3_kept,
     angle_between,
     hopf_map,
     naive_frame,
@@ -370,30 +373,29 @@ def test_redraw_keeps_the_bits_of_the_keep_only_loop(case, block, monkeypatch):
 @pytest.mark.parametrize("m", [1, 16383, 16385, 40000])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cube_rows_are_the_rows_of_the_whole_draw(dim, m, block, monkeypatch):
-    # rows rebuilt from their words, block-aligned or not, are every bit the
-    # rows of the whole draw, and the draw ends at the same stream counter
+    # the cube draw replayed block by block, block-aligned or not, is every
+    # bit the whole draw, and the stream ends where the whole draw leaves it
     monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
     if block == 1:  # every row is a block edge; 500 rows show it
         m = min(m, 500)
     rng, ref = make_rng(32), make_rng(32)
     rng.uniforms(3)
     ref.uniforms(3)
-    rows = _CubeRows(rng, m, dim)
+    rows = _replayed(rng, m, dim, _cube_candidates, _cube_kept)
     want = _cube_rejection(ref, m, dim)
-    _assert_rows_of(rows, want, rng, ref)
+    _assert_replays(rows, want, rng, ref)
 
 
-def _assert_rows_of(rows, want, rng, ref):
-    """rows, sliced by blocks and across them, are every bit want, and
-    slicing leaves rng where ref is."""
+def _assert_replays(rows, want, rng, ref):
+    """The replay ``rows`` left rng where ref is before any block was read,
+    and its blocks, in order, are every bit want."""
     m = len(want)
-    assert rng._counter == ref._counter
-    got = np.concatenate([rows[s] for s in blocks(m)])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    for s in (slice(min(5, m), min(77, m)), slice(0, m), slice(m // 3, m - 1),
-              slice(m, m)):
-        assert np.array_equal(rows[s].view(np.int64), want[s].view(np.int64))
-    assert rng._counter == ref._counter
+    assert (rng._counter, rng._spare) == (ref._counter, ref._spare)
+    got = list(rows)
+    assert [s for s, _ in got] == list(blocks(m))
+    assert np.array_equal(np.concatenate([b for _, b in got]).view(np.int64),
+                          want.view(np.int64))
+    assert (rng._counter, rng._spare) == (ref._counter, ref._spare)
 
 
 @pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
@@ -403,19 +405,17 @@ def test_quat_rows_are_the_rows_of_sample_sphere3(spare, floor, block,
                                                   monkeypatch):
     # a pending spare shifts every row half a polar pair; a norm floor of
     # 1.2 rejects about 1 row in 6 and leaves 42% of the rows in doubt
-    # after the pair scan (76% after a spare), so at block 1 both the
-    # scan's verdict and the exact gaussians decide rows, and the redraw
-    # pass runs
+    # after the pair scan (76% after a spare), so both the scan's verdict
+    # and the exact gaussians decide rows, and the redraw pass runs
     monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
     if floor is not None:
         monkeypatch.setattr(fiberline.haar, "_TINY_NORM", floor)
     m = 3 * block + 5 if block > 1 else 500
-    rng, ref = make_rng(34), make_rng(34)
+    rng, ref, probe = make_rng(34), make_rng(34), make_rng(34)
     if spare:
-        rng.gaussians(1)
-        ref.gaussians(1)
-    rows = _QuatRows(rng, m)
+        for stream in (rng, ref, probe):
+            stream.gaussians(1)
+    assert _sphere3_kept(probe, m, 4).all() == (floor is None)
+    rows = _replayed(rng, m, 4, _gaussian_candidates, _sphere3_kept)
     want = sample_sphere3(ref, m)
-    assert rng._spare == ref._spare
-    assert (rows._missed.size > 0) == (floor is not None)
-    _assert_rows_of(rows, want, rng, ref)
+    _assert_replays(rows, want, rng, ref)

@@ -5,9 +5,9 @@ sampler is wrong.  Each row below injects one defect with ``unittest.mock``,
 runs a CLI experiment at its default ``--n`` and seed 1, and requires exit 1
 with the named test more than 3 sigma (or below the p-value floor) off.
 The patches target the names the CLI actually calls:
-``fiberline.bundle._CubeRows`` and ``fiberline.bundle._QuatRows`` for
-the unit-disk offsets and the frames of every isotropic line (a whole
-array stands in for each: it slices alike),
+``fiberline.bundle._replayed`` for the unit-disk offsets and the frames of
+every isotropic line (a whole array stands in for the 2- or the 4-column
+draw, handed out block by block),
 ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions,
 ``fiberline.stats.chord`` for the chords of ``chord`` and
 ``fiberline.cli.bertrand_indicators`` for ``bertrand``.
@@ -19,12 +19,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import fiberline.bundle
+import fiberline.haar
 import fiberline.stats
+from fiberline._blocks import blocks
 from fiberline.cli import main
 from fiberline.geometry import Halfspaces
 
-_real_disk = fiberline.bundle._CubeRows
+_real_replayed = fiberline.haar._replayed
 _real_chord = fiberline.stats.chord
 _real_bertrand = fiberline.stats.bertrand_indicators
 
@@ -33,16 +34,16 @@ TETRAHEDRON = [{"normal": n, "offset": 1.0} for n in
                ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
 
 
-def _disk_linear_radius(rng, n, dim):
+def _disk_linear_radius(rng, n):
     """r = U instead of sqrt(U): offsets crowd the disk's centre."""
     u = rng.uniforms(2 * n)
     r, phi = u[0::2], 2.0 * np.pi * u[1::2]
     return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
 
 
-def _disk_short(rng, n, dim):
+def _disk_short(rng, n):
     """A disk 1% smaller than the sampling sphere's cross-section."""
-    return 0.99 * _real_disk(rng, n, dim)[0:n]
+    return 0.99 * fiberline.haar._cube_rejection(rng, n, 2)
 
 
 def _cube_quaternions(rng, n):
@@ -66,18 +67,30 @@ def _bertrand_swapped(rng, method, n):
     return _real_bertrand(rng, "radial" if method == "midpoint" else method, n)
 
 
-DISK = "fiberline.bundle._CubeRows"
-QUATS = ("fiberline.bundle._QuatRows", "fiberline.cli.sample_sphere3")
+def _replacing(dim, draw):
+    """``_replayed``, but with ``draw(rng, m)``'s whole array handed out
+    block by block in place of the dim-column draw."""
+    def replayed(rng, m, d, *passes):
+        if d != dim:
+            return _real_replayed(rng, m, d, *passes)
+        rows = draw(rng, m)
+        return ((s, rows[s]) for s in blocks(m))
 
-# defect -> (the names it replaces, the replacement)
+    return replayed
+
+
+REPLAYED = "fiberline.bundle._replayed"
+
+# defect -> the (name, replacement) patches that inject it
 DEFECTS = {
-    "disk-r-linear": ((DISK,), _disk_linear_radius),
-    "disk-1pct-short": ((DISK,), _disk_short),
-    "cube-quaternions": (QUATS, _cube_quaternions),
-    "halfspace-offset-flipped": (("fiberline.stats.chord",),
-                                 _chord_offset_flipped),
-    "bertrand-swapped": (("fiberline.cli.bertrand_indicators",),
-                         _bertrand_swapped),
+    "disk-r-linear": ((REPLAYED, _replacing(2, _disk_linear_radius)),),
+    "disk-1pct-short": ((REPLAYED, _replacing(2, _disk_short)),),
+    "cube-quaternions": ((REPLAYED, _replacing(4, _cube_quaternions)),
+                         ("fiberline.cli.sample_sphere3", _cube_quaternions)),
+    "halfspace-offset-flipped": (("fiberline.stats.chord",
+                                  _chord_offset_flipped),),
+    "bertrand-swapped": (("fiberline.cli.bertrand_indicators",
+                          _bertrand_swapped),),
 }
 COMMANDS = {
     "ball": ["chord", "--body", "ball:0,0,0,1", "--radius", "2"],
@@ -109,9 +122,8 @@ def _tetrahedron_file(tmp_path, monkeypatch):
 
 
 def _run(capsys, command, defect=None):
-    names, replacement = DEFECTS[defect] if defect else ((), None)
     with ExitStack() as stack:
-        for name in names:
+        for name, replacement in DEFECTS[defect] if defect else ():
             stack.enter_context(mock.patch(name, replacement))
         code = main([*COMMANDS[command], "--seed", "1"])
     return code, json.loads(capsys.readouterr().out)

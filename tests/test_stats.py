@@ -408,8 +408,8 @@ def test_bertrand_indicators_are_binary():
 
 
 class _Words:
-    """A stream that hands out the given uniforms, in order, and reads them
-    back by position."""
+    """A stream that hands out the given uniforms, in order; a copy of it
+    hands them out again from where it was copied."""
 
     def __init__(self, *words):
         self.all = list(words)
@@ -424,10 +424,6 @@ class _Words:
         self._counter += k
         return np.array(self.all[self._counter - k:self._counter],
                         dtype=np.float64)
-
-    def _uniforms_at(self, start, k):
-        assert start + k <= self._counter
-        return np.array(self.all[start:start + k], dtype=np.float64)
 
 
 _ULP = 2.0**-53  # the uniforms' grid step
