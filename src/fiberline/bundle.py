@@ -25,10 +25,9 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
-from .haar import _ROTATION, _count, _cube_candidates, _cube_rejection, \
-    _cube_kept, _gaussian_candidates, _rejection, _replayed, _sphere3_kept, \
-    _unit_columns, _unit_norms, quat_to_rotation, sample_sphere2, \
-    tangent_from_ball
+from .haar import _ROTATION, _count, _cube_rejection, _disk_blocks, \
+    _rejection, _sphere3_blocks, _unit_columns, _unit_norms, \
+    quat_to_rotation, sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -98,8 +97,7 @@ class LineDensity:
             raise ValueError("f must be callable")
         if not (np.isfinite(self.bound) and self.bound > 0.0):
             raise ValueError("bound must be positive and finite")
-        if not (np.isfinite(self.disk_radius) and self.disk_radius > 0.0):
-            raise ValueError("disk_radius must be positive and finite")
+        _check_radius(self.disk_radius)
 
 
 def _check_frames(g: np.ndarray) -> None:
@@ -199,8 +197,8 @@ def _isotropic_blocks(rng: RngStream, radius: float, m: int):
     offsets, the bits of ``sample_disk``, are each replayed a block at a
     time from a copy of the stream, so no array of all m rows is held."""
     _check_radius(radius)
-    quats = _replayed(rng, m, 4, _gaussian_candidates, _sphere3_kept)
-    disk = _replayed(rng, m, 2, _cube_candidates, _cube_kept)
+    quats = _sphere3_blocks(rng, m)
+    disk = _disk_blocks(rng, m)
     for (s, qb), (_, d) in zip(quats, disk):
         qs = _unit_columns(qb, _unit_norms(qb, "quaternion"))
         r = d * radius

@@ -8,8 +8,10 @@ give the same rotation.
 Every draw ends in one of two kernels: ``_redraw`` stores every candidate a
 draw makes and draws the rejected rows again (cube points outside the ball,
 vectors too short to normalize), and ``_rejection`` keeps proposals with
-probability f/bound.  ``_replayed`` hands out a ``_redraw`` draw a block
-at a time: it runs the first pass and the redraws on the stream, then
+probability f/bound.  ``_sphere3_blocks`` (the quaternions of
+``sample_sphere3``) and ``_disk_blocks`` (the unit disk of
+``_cube_rejection``) hand out a ``_redraw`` draw a block at a time through
+``_replayed``: it runs the first pass and the redraws on the stream, then
 draws each block again from a copy of the stream.
 
 Every sampler takes a count n and returns a batch with a leading axis of
@@ -137,27 +139,31 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
         rng, rows.size, dim), sequential=True)
 
 
-def _cube_kept(rng: RngStream, m: int, dim: int) -> np.ndarray:
-    """The keep mask of ``_cube_rejection(rng, m, dim)``'s first pass, moving
-    the stream as that pass does.  In the plane about 21% of the rows are
-    rejected."""
+def _first_pass(rng: RngStream, m: int, dim: int,
+                draw: Callable) -> np.ndarray:
+    """The keep mask of the first pass of ``_redraw``'s sequential draw by
+    ``draw(rng, k, dim)``, moving the stream as that pass does."""
     kept = np.empty(m, dtype=bool)
     for s in blocks(m):
-        kept[s], _ = _cube_candidates(rng, s.stop - s.start, dim)
+        kept[s], _ = draw(rng, s.stop - s.start, dim)
     return kept
 
 
-def _sphere3_kept(rng: RngStream, m: int, dim: int) -> np.ndarray:
-    """The keep mask of ``sample_sphere3(rng, m)``'s first pass, moving the
-    stream, spare included, as that pass does; dim is 4.
+def _sphere3_first_pass(rng: RngStream, m: int, dim: int,
+                        draw: Callable) -> np.ndarray:
+    """``_first_pass`` of ``sample_sphere3(rng, m)``, whose ``draw`` is
+    ``_gaussian_candidates`` and dim 4.
 
-    A row takes two accepted polar pairs, or one pair and two halves after
-    a pending spare, so its norm^2 is at least -2 ln of the product of its
-    whole pairs' s = x^2 + y^2.  Only the pairs are scanned: a row whose
-    product is at most exp(-_TINY_NORM^2) is certainly kept, with a 2x
+    A row takes two accepted polar pairs, so its norm^2 is at least -2 ln of
+    the product of their s = x^2 + y^2.  Only the pairs are scanned: a row
+    whose product is at most exp(-_TINY_NORM^2) is certainly kept, with a 2x
     margin in norm^2, and only a block holding any other row has its
     gaussians computed, from a copy of the stream at the block's start.
+    A spare pending at the start stays pending after every block, so such
+    a draw, which no shard stream makes, takes ``_first_pass`` throughout.
     """
+    if rng._spare is not None:
+        return _first_pass(rng, m, dim, draw)
     sure = np.exp(-_TINY_NORM ** 2)
     kept = np.empty(m, dtype=bool)
     for s in blocks(m):
@@ -166,35 +172,27 @@ def _sphere3_kept(rng: RngStream, m: int, dim: int) -> np.ndarray:
         ps = np.empty(2 * k, dtype=np.float64)  # s of the block's pairs
         j = 0
         for c in blocks(2 * k, 2):
-            for x, y, ss, idx in rng._accepted_pairs(c.stop - c.start):
+            for _, _, ss, idx in rng._accepted_pairs(c.stop - c.start):
                 ps[j:j + idx.size] = ss[idx]
                 j += idx.size
-                if idx.size:
-                    y_last = y[idx[-1]]
-        if at._spare is None:
-            kept[s] = ps[0::2] * ps[1::2] <= sure
-        else:
-            kept[s] = ps[0::2] <= sure
-            # the last row took the first half of the block's last pair;
-            # its second half is pending now
-            rng._pend_spare(y_last, ps[-1:])
+        kept[s] = ps[0::2] * ps[1::2] <= sure
         if not kept[s].all():
-            kept[s], _ = _gaussian_candidates(at, k, 4)
+            kept[s], _ = draw(at, k, dim)
     return kept
 
 
 def _replayed(rng: RngStream, m: int, dim: int, draw: Callable,
-              kept: Callable):
+              first_pass: Callable):
     """The m rows of ``_redraw``'s sequential draw by ``draw(rng, k, dim)``,
     which returns (keep mask, rows), as (slice, rows) one block at a time.
 
-    The first pass, ``kept(rng, m, dim)``, and the redraws of the rows it
-    rejects run now, and leave the stream where the whole draw does.  The
-    blocks are drawn again from a copy of the stream as it stood before:
+    The first pass, ``first_pass(rng, m, dim, draw)``, and the redraws of the
+    rows it rejects run now, and leave the stream where the whole draw does.
+    The blocks are drawn again from a copy of the stream as it stood before:
     the stream is counter-based, so the copy reads the same words.
     """
     at = copy.copy(rng)
-    missed = np.flatnonzero(~kept(rng, m, dim))
+    missed = np.flatnonzero(~first_pass(rng, m, dim, draw))
     # in one pass, not block by block: same words, but its freed words keep
     # later block temporaries on malloc's heap (block by block, chord box at
     # n = 10^6 took twice the page faults)
@@ -208,6 +206,17 @@ def _replayed(rng: RngStream, m: int, dim: int, draw: Callable,
             yield s, rows
 
     return replay()
+
+
+def _sphere3_blocks(rng: RngStream, m: int):
+    """The bits of ``sample_sphere3(rng, m)``, replayed as (slice, rows)."""
+    return _replayed(rng, m, 4, _gaussian_candidates, _sphere3_first_pass)
+
+
+def _disk_blocks(rng: RngStream, m: int):
+    """The bits of ``_cube_rejection(rng, m, 2)``, the unit disk, replayed as
+    (slice, rows)."""
+    return _replayed(rng, m, 2, _cube_candidates, _first_pass)
 
 
 def _unit_norms(v: np.ndarray, what: str) -> np.ndarray:

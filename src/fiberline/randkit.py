@@ -133,7 +133,7 @@ class RngStream:
             k = 1
         for x, y, s, idx in self._accepted_pairs((n - k + 1) // 2):
             s = s[idx]
-            f = _polar_scale(s)
+            f = np.sqrt(-2.0 * np.log(s) / s)  # takes (x, y) to two normals
             pair = np.empty(2 * idx.size, dtype=np.float64)
             pair[0::2] = x[idx] * f
             pair[1::2] = y[idx] * f
@@ -166,18 +166,6 @@ class RngStream:
                 self._counter += 2 * m
             need -= idx.size
             yield x, y, s, idx
-
-    def _pend_spare(self, y: float, s: np.ndarray) -> None:
-        """Leave pending the second gaussian of the accepted polar pair
-        (x, y) whose s = x^2 + y^2 is the one entry of ``s``, as a draw
-        that uses only the pair's first gaussian does."""
-        self._spare = float(y * _polar_scale(s)[0])
-
-
-def _polar_scale(s: np.ndarray) -> np.ndarray:
-    """sqrt(-2 ln s / s), the factor taking an accepted polar pair (x, y)
-    with s = x^2 + y^2 to two standard normals."""
-    return np.sqrt(-2.0 * np.log(s) / s)
 
 
 def make_rng(seed: int) -> RngStream:

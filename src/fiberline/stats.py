@@ -23,8 +23,7 @@ from .errors import DegenerateWeights, InsufficientRadius, NoHits, \
     TooFewSamples
 from .geometry import Ball, ConvexBody, bounding_radius, chord, \
     surface_area, volume
-from .haar import _count, _cube_candidates, _cube_kept, _replayed, \
-    sample_sphere2
+from .haar import _count, _disk_blocks, sample_sphere2
 from .linespace import DirectedLine, slope_to_directed
 from .randkit import RngStream
 
@@ -332,8 +331,7 @@ def bertrand_indicators(rng: RngStream, method: str, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     # the midpoint disk, replayed a block at a time from a stream copy
-    mid = (_replayed(rng, n, 2, _cube_candidates, _cube_kept)
-           if method == "midpoint" else None)
+    mid = _disk_blocks(rng, n) if method == "midpoint" else None
     out = np.empty(n, dtype=bool)
     for s in blocks(n):
         if method == "midpoint":

@@ -1,7 +1,7 @@
 """The row dot product's contract, no BLAS call outside bundle._spin, no
 reduction along rows anywhere in the package, no worker mechanism but the
-shard runner's forked processes, and no stream position set outside
-randkit."""
+shard runner's forked processes, no stream position set outside randkit,
+and no replay internals used outside haar."""
 import ast
 import pathlib
 
@@ -20,6 +20,9 @@ _REDUCTIONS = {"max", "min", "amax", "amin", "any", "all", "sum"}
 _WORKER_MODULES = {"threading", "concurrent", "multiprocessing", "_thread"}
 # an RngStream's position: its word counter and its pending polar spare
 _STREAM_STATE = {"_counter", "_spare"}
+# how haar replays a block draw: other modules call its named block draws
+_REPLAY_INTERNALS = {"_replayed", "_first_pass", "_sphere3_first_pass",
+                     "_gaussian_candidates", "_cube_candidates"}
 
 
 def _rows(rng, k, n=100_000):
@@ -207,6 +210,52 @@ def test_only_randkit_moves_a_stream():
         if path.name == "randkit.py":
             continue
         lines = _stream_state_writes(path.read_text())
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def _replay_references(source: str) -> list[int]:
+    """Line numbers in ``source`` that name a replay internal: as a name, an
+    attribute or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in _REPLAY_INTERNALS \
+                or isinstance(node, ast.Attribute) \
+                and node.attr in _REPLAY_INTERNALS \
+                or isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and any(a.name.split(".")[-1] in _REPLAY_INTERNALS
+                        for a in node.names):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_replay_guard_sees_every_form():
+    # the first two are how bundle and stats imported the replay before
+    # haar named its block draws
+    for line in ("from .haar import _ROTATION, _count, _cube_candidates, "
+                 "_cube_rejection, _cube_kept, _gaussian_candidates, "
+                 "_rejection, _replayed, _sphere3_kept, _unit_columns",
+                 "from .haar import _count, _cube_candidates, _cube_kept, "
+                 "_replayed, sample_sphere2",
+                 "rows = haar._replayed(rng, m, 2, d, p)",
+                 "from .haar import _first_pass as fp",
+                 "f = _sphere3_first_pass"):
+        assert _replay_references(line) == [1], line
+    for line in ("from .haar import _disk_blocks, _sphere3_blocks",
+                 "rows = haar._disk_blocks(rng, m)", "replayed = 1",
+                 "s = '_replayed'"):
+        assert _replay_references(line) == [], line
+
+
+def test_only_haar_knows_how_a_draw_is_replayed():
+    # bundle and stats take their draws from haar._sphere3_blocks and
+    # haar._disk_blocks, which pair each first pass with its draw
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "haar.py":
+            continue
+        lines = _replay_references(path.read_text())
         if lines:
             found[path.name] = lines
     assert found == {}

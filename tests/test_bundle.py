@@ -202,13 +202,11 @@ def _spoiled_quaternions(monkeypatch, spoil):
         spoil(q)
         return q
 
-    def replayed(rng, m, dim, *passes):
-        if dim != 4:
-            return fiberline.haar._replayed(rng, m, dim, *passes)
+    def quaternion_blocks(rng, m):
         q = draw(rng, m)
         return ((s, q[s]) for s in fiberline._blocks.blocks(m))
 
-    monkeypatch.setattr(fiberline.bundle, "_replayed", replayed)
+    monkeypatch.setattr(fiberline.bundle, "_sphere3_blocks", quaternion_blocks)
     return draw
 
 

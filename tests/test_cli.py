@@ -295,6 +295,9 @@ def test_chord_insufficient_radius_exits_2(capsys):
     assert "InsufficientRadius" in err
 
 
+_BAD_RADIUS = "error: radius must be positive and finite\n"
+
+
 @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
 def test_chord_invalid_radius_exits_2(radius, capsys):
     # an invalid radius is refused as such, like `sample --radius 0`, not
@@ -303,7 +306,17 @@ def test_chord_invalid_radius_exits_2(radius, capsys):
                                    "--radius", radius, "--n", "100",
                                    "--seed", "1"])
     assert (code, out) == (2, "")
-    assert err == "error: radius must be positive and finite\n"
+    assert err == _BAD_RADIUS
+
+
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["sample", "bundle", "gauge-audit"])
+def test_invalid_radius_exits_2_as_chord_does(command, radius, capsys):
+    # one radius check: the disk radius of a density is refused in
+    # chord's words
+    code, out, err = _run(capsys, [command, "--radius", radius, "--n", "100",
+                                   "--seed", "1"])
+    assert (code, out, err) == (2, "", _BAD_RADIUS)
 
 
 @pytest.mark.parametrize("body", [

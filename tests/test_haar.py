@@ -9,11 +9,12 @@ from fiberline.bundle import sample_bundle, tilt_density, uniform_density
 from fiberline.errors import NotUnit, PoleSingularity
 from fiberline.haar import (
     _cube_candidates,
-    _cube_kept,
     _cube_rejection,
+    _first_pass,
     _gaussian_candidates,
     _replayed,
-    _sphere3_kept,
+    _sphere3_blocks,
+    _sphere3_first_pass,
     angle_between,
     hopf_map,
     naive_frame,
@@ -27,7 +28,7 @@ from fiberline.haar import (
     sample_sphere3,
     tangent_from_ball,
 )
-from fiberline.randkit import make_rng, split
+from fiberline.randkit import RngStream, make_rng, split
 from fiberline.stats import chi2_isotropy, ks_test, ks_two_sample
 
 N_BIG = 1_000_000
@@ -381,7 +382,7 @@ def test_cube_rows_are_the_rows_of_the_whole_draw(dim, m, block, monkeypatch):
     rng, ref = make_rng(32), make_rng(32)
     rng.uniforms(3)
     ref.uniforms(3)
-    rows = _replayed(rng, m, dim, _cube_candidates, _cube_kept)
+    rows = _replayed(rng, m, dim, _cube_candidates, _first_pass)
     want = _cube_rejection(ref, m, dim)
     _assert_replays(rows, want, rng, ref)
 
@@ -403,10 +404,11 @@ def _assert_replays(rows, want, rng, ref):
 @pytest.mark.parametrize("spare", [False, True])
 def test_quat_rows_are_the_rows_of_sample_sphere3(spare, floor, block,
                                                   monkeypatch):
-    # a pending spare shifts every row half a polar pair; a norm floor of
-    # 1.2 rejects about 1 row in 6 and leaves 42% of the rows in doubt
-    # after the pair scan (76% after a spare), so both the scan's verdict
-    # and the exact gaussians decide rows, and the redraw pass runs
+    # a pending spare shifts every row half a polar pair and takes the
+    # exact first pass; without one, a norm floor of 1.2 rejects about 1
+    # row in 6 and leaves 42% of the rows in doubt after the pair scan, so
+    # both the scan's verdict and the exact gaussians decide rows, and the
+    # redraw pass runs
     monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
     if floor is not None:
         monkeypatch.setattr(fiberline.haar, "_TINY_NORM", floor)
@@ -415,7 +417,29 @@ def test_quat_rows_are_the_rows_of_sample_sphere3(spare, floor, block,
     if spare:
         for stream in (rng, ref, probe):
             stream.gaussians(1)
-    assert _sphere3_kept(probe, m, 4).all() == (floor is None)
-    rows = _replayed(rng, m, 4, _gaussian_candidates, _sphere3_kept)
+    assert _sphere3_first_pass(probe, m, 4, _gaussian_candidates).all() \
+        == (floor is None)
+    rows = _sphere3_blocks(rng, m)
     want = sample_sphere3(ref, m)
     _assert_replays(rows, want, rng, ref)
+
+
+@pytest.mark.parametrize("spare", [False, True])
+def test_sphere3_first_pass_scans_pairs_unless_a_spare_is_pending(
+        spare, monkeypatch):
+    # at the default norm floor every row of a fresh stream is certainly
+    # kept by the pair scan, so no gaussian is computed; a pending spare
+    # takes the exact pass, which computes them
+    rng = make_rng(35)
+    if spare:
+        rng.gaussians(1)
+    real, calls = RngStream._fill_gaussians, []
+
+    def spy(self, out):
+        calls.append(out.size)
+        real(self, out)
+
+    monkeypatch.setattr(RngStream, "_fill_gaussians", spy)
+    m = 3 * fiberline._blocks._BLOCK + 5
+    assert _sphere3_first_pass(rng, m, 4, _gaussian_candidates).all()
+    assert bool(calls) == spare

@@ -5,9 +5,9 @@ sampler is wrong.  Each row below injects one defect with ``unittest.mock``,
 runs a CLI experiment at its default ``--n`` and seed 1, and requires exit 1
 with the named test more than 3 sigma (or below the p-value floor) off.
 The patches target the names the CLI actually calls:
-``fiberline.bundle._replayed`` for the unit-disk offsets and the frames of
-every isotropic line (a whole array stands in for the 2- or the 4-column
-draw, handed out block by block),
+``fiberline.bundle._disk_blocks`` for the unit-disk offsets and
+``fiberline.bundle._sphere3_blocks`` for the frames of every isotropic
+line (a whole array stands in for the draw, handed out block by block),
 ``fiberline.cli.sample_sphere3`` for ``haar-test``'s quaternions,
 ``fiberline.stats.chord`` for the chords of ``chord`` and
 ``fiberline.cli.bertrand_indicators`` for ``bertrand``.
@@ -25,7 +25,6 @@ from fiberline._blocks import blocks
 from fiberline.cli import main
 from fiberline.geometry import Halfspaces
 
-_real_replayed = fiberline.haar._replayed
 _real_chord = fiberline.stats.chord
 _real_bertrand = fiberline.stats.bertrand_indicators
 
@@ -67,25 +66,24 @@ def _bertrand_swapped(rng, method, n):
     return _real_bertrand(rng, "radial" if method == "midpoint" else method, n)
 
 
-def _replacing(dim, draw):
-    """``_replayed``, but with ``draw(rng, m)``'s whole array handed out
-    block by block in place of the dim-column draw."""
-    def replayed(rng, m, d, *passes):
-        if d != dim:
-            return _real_replayed(rng, m, d, *passes)
+def _replacing(draw):
+    """A block draw that hands out ``draw(rng, m)``'s whole array block by
+    block."""
+    def handed_out(rng, m):
         rows = draw(rng, m)
         return ((s, rows[s]) for s in blocks(m))
 
-    return replayed
+    return handed_out
 
 
-REPLAYED = "fiberline.bundle._replayed"
+DISK = "fiberline.bundle._disk_blocks"
+SPHERE3 = "fiberline.bundle._sphere3_blocks"
 
 # defect -> the (name, replacement) patches that inject it
 DEFECTS = {
-    "disk-r-linear": ((REPLAYED, _replacing(2, _disk_linear_radius)),),
-    "disk-1pct-short": ((REPLAYED, _replacing(2, _disk_short)),),
-    "cube-quaternions": ((REPLAYED, _replacing(4, _cube_quaternions)),
+    "disk-r-linear": ((DISK, _replacing(_disk_linear_radius)),),
+    "disk-1pct-short": ((DISK, _replacing(_disk_short)),),
+    "cube-quaternions": ((SPHERE3, _replacing(_cube_quaternions)),
                          ("fiberline.cli.sample_sphere3", _cube_quaternions)),
     "halfspace-offset-flipped": (("fiberline.stats.chord",
                                   _chord_offset_flipped),),
