@@ -25,9 +25,10 @@ import numpy as np
 
 from . import haar
 from ._blocks import blocked_max, blocks, dot
+from .errors import BoundViolated, NonFinite, RejectionStall
 from .haar import _ROTATION, _count, _cube_rejection, _disk_blocks, \
-    _rejection, _sphere3_blocks, _unit_columns, _unit_norms, \
-    quat_to_rotation, sample_sphere2, tangent_from_ball
+    _sphere3_blocks, _unit_columns, _unit_norms, quat_to_rotation, \
+    sample_sphere2, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -46,6 +47,11 @@ __all__ = [
     "tilt_radial_density",
     "foot_tilt_density",
 ]
+
+_STALL_ACCEPTANCE = 1e-6  # sample_bundle keeping less than this stalls
+# proposals sample_bundle makes before it may stall; read at every call, so
+# tests can lower it
+_STALL_PROPOSALS = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,21 +222,63 @@ def sample_bundle(rng: RngStream, density: LineDensity, n: int) -> BundlePoint:
     """n bundle points distributed as density.f times the product of the
     rotation-invariant measure on frames and the uniform disk on offsets.
 
-    Plain rejection: propose (frame, disk offset), keep with probability
-    f/bound; the proposals and acceptances are added to ``rng.proposals``
-    and ``rng.accepted``.  Frames are proposed as haar.sample_sphere3
-    quaternions (looked up at call time) and built one block at a time.
-    Raises BoundViolated if f exceeds the bound beyond roundoff, NonFinite on
-    NaN/inf densities, RejectionStall when fewer than a 1e-6 fraction of at
-    least ``haar._STALL_PROPOSALS`` (one million) candidates were kept.
+    Plain rejection, in rounds: each round proposes k quaternions from
+    haar.sample_sphere3 (looked up at call time), then k disk offsets, and
+    evaluates f on their frames one block at a time; then k uniforms keep
+    a proposal when uniform * bound < f.  Each round adds its proposals and
+    acceptances to ``rng.proposals`` and ``rng.accepted``.  The kept frames
+    are built one block at a time.
+
+    Before any uniform of a round is drawn, its densities are checked over
+    the whole round: ValueError unless f returns one value per proposal,
+    NonFinite on NaN or infinite values, BoundViolated on values outside
+    [0, bound] beyond roundoff.  RejectionStall is raised once at least
+    ``_STALL_PROPOSALS`` (one million) proposals of this call kept fewer
+    than a 1e-6 fraction.
     """
     m = _count(n)
+    bound = density.bound
     q_out = np.empty((m, 4), dtype=np.float64)
     r_out = np.empty((m, 2), dtype=np.float64)
-    _rejection(rng, lambda k: (haar.sample_sphere3(rng, k),
-                               sample_disk(rng, density.disk_radius, k)),
-               lambda q, r: density.f(quat_to_rotation(q), r),
-               density.bound, (q_out, r_out))
+    got = 0
+    accepted0, proposals0 = rng.accepted, rng.proposals
+    rate_guess = 1.0
+    while got < m:
+        want = m - got
+        k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
+        q = haar.sample_sphere3(rng, k)
+        r = sample_disk(rng, density.disk_radius, k)
+        val = np.empty(k, dtype=np.float64)
+        # a density that underflows to exp(-inf) = 0 is exact, not an error;
+        # +inf and NaN still fail the checks below
+        with np.errstate(over="ignore", divide="ignore"):
+            for s in blocks(k):
+                v = np.asarray(density.f(quat_to_rotation(q[s]), r[s]),
+                               dtype=np.float64)
+                if v.shape != (s.stop - s.start,):
+                    raise ValueError("density must return one value per proposal")
+                val[s] = v
+        if not np.all(np.isfinite(val)):
+            raise NonFinite("density returned NaN or infinity")
+        if np.any(val > bound * (1.0 + 1e-9)) or np.any(val < 0.0):
+            raise BoundViolated(
+                f"density range [{float(val.min()):.6g}, {float(val.max()):.6g}] "
+                f"outside [0, {bound:.6g}]"
+            )
+        keep = rng.uniforms(k) * bound < val
+        rng.proposals += k
+        rng.accepted += int(np.count_nonzero(keep))
+        accepted, proposals = rng.accepted - accepted0, rng.proposals - proposals0
+        idx = np.flatnonzero(keep)[:want]
+        q_out[got:got + idx.size] = q[idx]
+        r_out[got:got + idx.size] = r[idx]
+        got += idx.size
+        rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
+        # freed before the next round or the kept frames are allocated, so
+        # the peak holds one round, not two
+        del q, r, val, keep, idx
+        if proposals >= _STALL_PROPOSALS and accepted < _STALL_ACCEPTANCE * proposals:
+            raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
     g_out = np.empty((m, 3, 3), dtype=np.float64)
     # per block, like the proposals: no whole-m temporaries beside the frames
     for s in blocks(m):

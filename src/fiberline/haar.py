@@ -5,10 +5,9 @@ Rotations are sampled by normalizing 4 gaussians to a unit quaternion
 whose nine entries live in ``_ROTATION`` only; the two preimages q and -q
 give the same rotation.
 
-Every draw ends in one of two kernels: ``_redraw`` stores every candidate a
-draw makes and draws the rejected rows again (cube points outside the ball,
-vectors too short to normalize), and ``_rejection`` keeps proposals with
-probability f/bound.  ``_sphere3_blocks`` (the quaternions of
+Every draw ends in ``_redraw``: it stores every candidate a draw makes and
+draws the rejected rows again (cube points outside the ball, vectors too
+short to normalize).  ``_sphere3_blocks`` (the quaternions of
 ``sample_sphere3``) and ``_disk_blocks`` (the unit disk of
 ``_cube_rejection``) hand out a ``_redraw`` draw a block at a time through
 ``_replayed``: it runs the first pass and the redraws on the stream, then
@@ -25,8 +24,7 @@ from typing import Callable
 import numpy as np
 
 from ._blocks import blocked_max, blocks, dot
-from .errors import BoundViolated, NonFinite, NotUnit, PoleSingularity, \
-    RejectionStall
+from .errors import NotUnit, PoleSingularity
 from .randkit import RngStream
 
 __all__ = [
@@ -46,10 +44,6 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _TINY_NORM = 1e-6  # gaussian/ball vectors shorter than this are redrawn
-_STALL_ACCEPTANCE = 1e-6  # rejection loops keeping less than this stall
-# proposals a rejection loop makes before it may stall; read at every call,
-# so tests can lower it
-_STALL_PROPOSALS = 1_000_000
 
 
 def _count(n: int) -> int:
@@ -334,62 +328,6 @@ def hopf_map(q: np.ndarray) -> np.ndarray:
     the map S^3 -> S^2.  Raises NotUnit like :func:`quat_to_rotation`.
     """
     return quat_to_rotation(q)[..., :, 2]
-
-
-def _rejection(
-    rng: RngStream,
-    propose: Callable[[int], tuple[np.ndarray, ...]],
-    f: Callable[..., np.ndarray],
-    bound: float,
-    outs: tuple[np.ndarray, ...],
-) -> None:
-    """Fill ``outs``, arrays sharing a leading axis of length m, by rejection.
-
-    ``propose(k)`` returns one k-row array per output; ``f`` maps each block
-    of their rows to density values in [0, bound], and a proposal is kept
-    when a uniform times ``bound`` falls below its value.  Each round adds
-    its proposals and acceptances to ``rng.proposals`` and ``rng.accepted``.
-
-    Raises ValueError unless ``f`` returns one value per row, NonFinite on
-    NaN or infinite values, BoundViolated on values outside [0, bound]
-    beyond roundoff, and RejectionStall once at least ``_STALL_PROPOSALS``
-    proposals kept fewer than a 1e-6 fraction.
-    """
-    m = outs[0].shape[0]
-    got = 0
-    accepted0, proposals0 = rng.accepted, rng.proposals
-    rate_guess = 1.0
-    while got < m:
-        want = m - got
-        k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
-        props = propose(k)
-        val = np.empty(k, dtype=np.float64)
-        # a density that underflows to exp(-inf) = 0 is exact, not an error;
-        # +inf and NaN still fail the checks below
-        with np.errstate(over="ignore", divide="ignore"):
-            for s in blocks(k):
-                v = np.asarray(f(*(p[s] for p in props)), dtype=np.float64)
-                if v.shape != (s.stop - s.start,):
-                    raise ValueError("density must return one value per proposal")
-                val[s] = v
-        if not np.all(np.isfinite(val)):
-            raise NonFinite("density returned NaN or infinity")
-        if np.any(val > bound * (1.0 + 1e-9)) or np.any(val < 0.0):
-            raise BoundViolated(
-                f"density range [{float(val.min()):.6g}, {float(val.max()):.6g}] "
-                f"outside [0, {bound:.6g}]"
-            )
-        keep = rng.uniforms(k) * bound < val
-        rng.proposals += k
-        rng.accepted += int(np.count_nonzero(keep))
-        accepted, proposals = rng.accepted - accepted0, rng.proposals - proposals0
-        idx = np.flatnonzero(keep)[:want]
-        for out, p in zip(outs, props):
-            out[got:got + idx.size] = p[idx]
-        got += idx.size
-        rate_guess = max(accepted / proposals, 1e-3) if accepted else rate_guess * 0.25
-        if proposals >= _STALL_PROPOSALS and accepted < _STALL_ACCEPTANCE * proposals:
-            raise RejectionStall(f"{accepted} acceptances in {proposals} proposals")
 
 
 def naive_frame(u: np.ndarray) -> np.ndarray:

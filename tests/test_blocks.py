@@ -1,7 +1,8 @@
 """The row dot product's contract, no BLAS call outside bundle._spin, no
 reduction along rows anywhere in the package, no worker mechanism but the
 shard runner's forked processes, no stream position set outside randkit,
-and no replay internals used outside haar."""
+no replay internals used outside haar, and no density rejection error
+raised outside bundle."""
 import ast
 import pathlib
 
@@ -23,6 +24,8 @@ _STREAM_STATE = {"_counter", "_spare"}
 # how haar replays a block draw: other modules call its named block draws
 _REPLAY_INTERNALS = {"_replayed", "_first_pass", "_sphere3_first_pass",
                      "_gaussian_candidates", "_cube_candidates"}
+# the errors of a density rejection loop: bundle.sample_bundle runs the one
+_REJECTION_ERRORS = {"RejectionStall", "BoundViolated", "NonFinite"}
 
 
 def _rows(rng, k, n=100_000):
@@ -256,6 +259,50 @@ def test_only_haar_knows_how_a_draw_is_replayed():
         if path.name == "haar.py":
             continue
         lines = _replay_references(path.read_text())
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def _rejection_raises(source: str) -> list[int]:
+    """Line numbers in ``source`` that raise or construct a density
+    rejection error, by name or as an attribute."""
+    def named(node):
+        return isinstance(node, ast.Name) and node.id in _REJECTION_ERRORS \
+            or isinstance(node, ast.Attribute) and node.attr in _REJECTION_ERRORS
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and named(node.exc) \
+                or isinstance(node, ast.Call) and named(node.func):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_rejection_guard_sees_every_form():
+    # the first three are the raises of haar._rejection, the loop's home
+    # before sample_bundle ran its own rounds
+    for line in ("raise NonFinite('density returned NaN or infinity')",
+                 "raise BoundViolated(\n    f'density range [{lo}, {hi}]'\n)",
+                 "raise RejectionStall(f'{accepted} acceptances in {proposals} "
+                 "proposals')",
+                 "raise errors.NonFinite", "raise BoundViolated from exc",
+                 "err = RejectionStall('stalled')"):
+        assert _rejection_raises(line) == [1], line
+    for line in ("from .errors import BoundViolated, NonFinite, RejectionStall",
+                 "try:\n    f()\nexcept RejectionStall:\n    pass",
+                 "ok = isinstance(e, NonFinite)",
+                 "raise ValueError('NonFinite')", "class NonFinite(Exception): pass"):
+        assert _rejection_raises(line) == [], line
+
+
+def test_only_bundle_runs_a_density_rejection_loop():
+    # sample_bundle holds the one loop that checks densities and stalls
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "bundle.py":
+            continue
+        lines = _rejection_raises(path.read_text())
         if lines:
             found[path.name] = lines
     assert found == {}

@@ -27,7 +27,7 @@ from fiberline.bundle import (
 )
 from fiberline.errors import BoundViolated, NonFinite, NotUnit, RejectionStall
 from fiberline.geometry import Ball, chord
-from fiberline.haar import _rejection, quat_to_rotation, sample_rotation
+from fiberline.haar import quat_to_rotation, sample_rotation
 from fiberline.randkit import make_rng
 from fiberline.stats import ball_chord_cdf, ks_test, ks_two_sample
 
@@ -264,17 +264,51 @@ def test_bundle_builds_no_frames_of_a_whole_round(monkeypatch):
     assert sum(rows) == rng.proposals + 50_000
 
 
+def _rotation_rejection(rng, density, n):
+    # the reference: sample_bundle's rounds written out with sample_rotation's
+    # frames as the proposals, and the density taken over a whole round
+    g, r = np.empty((n, 3, 3)), np.empty((n, 2))
+    got, accepted, proposals, rate = 0, 0, 0, 1.0
+    while got < n:
+        want = n - got
+        k = min(max(int(want / max(rate, 0.01)) + 8, 32), 4 * n + 64, 1 << 22)
+        gk, rk = sample_rotation(rng, k), sample_disk(rng, density.disk_radius, k)
+        keep = rng.uniforms(k) * density.bound < density.f(gk, rk)
+        accepted += int(np.count_nonzero(keep))
+        proposals += k
+        idx = np.flatnonzero(keep)[:want]
+        g[got:got + idx.size], r[got:got + idx.size] = gk[idx], rk[idx]
+        got += idx.size
+        rate = max(accepted / proposals, 1e-3) if accepted else rate * 0.25
+    return g, r, accepted, proposals
+
+
 def test_bundle_frames_are_sample_rotation_rows():
     # proposing quaternions reads the words, and keeps the frames bit for
     # bit, of proposing sample_rotation's frames
     density, n = tilt_density(2.0), 30_000
-    pts = sample_bundle(make_rng(3), density, n)
-    rng = make_rng(3)
-    g, r = np.empty((n, 3, 3)), np.empty((n, 2))
-    _rejection(rng, lambda k: (sample_rotation(rng, k), sample_disk(rng, 1.0, k)),
-               density.f, density.bound, (g, r))
+    rng, ref = make_rng(3), make_rng(3)
+    pts = sample_bundle(rng, density, n)
+    g, r, accepted, proposals = _rotation_rejection(ref, density, n)
     assert np.array_equal(pts.g.view(np.int64), g.view(np.int64))
     assert np.array_equal(pts.r.view(np.int64), r.view(np.int64))
+    assert (rng.accepted, rng.proposals) == (accepted, proposals)
+    assert np.array_equal(rng.uniforms(8), ref.uniforms(8))
+
+
+def test_bundle_rounds_are_freed_before_the_next():
+    # a foot-tilt round (acceptance about 0.06) proposes up to 4n + 64
+    # quaternions and offsets, 6 doubles each: about 2.2x the output's
+    # 4.2 MiB of frames and offsets.  With each round freed before the next
+    # round and the frames are allocated, the peak reads 3.6x; holding the
+    # previous round as well read 5.8x.  4.5x lets one round through, not two
+    tracemalloc.start()
+    try:
+        pts = sample_bundle(make_rng(3), foot_tilt_density(4.0), 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * (pts.g.nbytes + pts.r.nbytes)
 
 
 def test_flat_bundle_density_matches_isotropic():
@@ -343,7 +377,7 @@ def test_bundle_nonfinite():
 
 
 def test_bundle_stall(monkeypatch):
-    monkeypatch.setattr(fiberline.haar, "_STALL_PROPOSALS", 100_000)
+    monkeypatch.setattr(fiberline.bundle, "_STALL_PROPOSALS", 100_000)
     dead = LineDensity(lambda g, r: np.zeros(g.shape[0]), 1.0, 1.0)
     with pytest.raises(RejectionStall):
         sample_bundle(make_rng(17), dead, 100)
@@ -357,7 +391,7 @@ def test_bundle_stall(monkeypatch):
 def test_underflowing_density_stalls_without_warnings(density, monkeypatch):
     # the exponents overflow to -inf, and exp(-inf) = 0 is exact: the loop
     # stalls quietly (the suite turns numpy's RuntimeWarnings into errors)
-    monkeypatch.setattr(fiberline.haar, "_STALL_PROPOSALS", 100_000)
+    monkeypatch.setattr(fiberline.bundle, "_STALL_PROPOSALS", 100_000)
     with pytest.raises(RejectionStall):
         sample_bundle(make_rng(17), density(), 100)
 

@@ -9,11 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+import fiberline.bundle
 import fiberline.cli
-import fiberline.haar
+from fiberline.bundle import sample_bundle, tilt_density
 from fiberline.cli import main
 from fiberline.geometry import Ball, chord
 from fiberline.linespace import DirectedLine
+from fiberline.randkit import make_rng, split
 
 REPORT_KEYS = {"experiment", "parameters", "seed", "n", "estimates", "tests",
                "oracle_values", "pass", "manifest"}
@@ -91,6 +93,19 @@ def test_bundle_source_manifest(capsys):
     assert m["parameters"]["kappa"] == 2.0
     assert 0.0 < m["acceptance_rate"] <= 1.0
     assert len(doc["lines"]) == 50
+    # across shards the rate is the exact ratio of the summed counters, not
+    # a mean of the shards' rates
+    for threads, counts in (("1", (1001,)), ("2", (501, 500))):
+        code, out, _ = _run(capsys, ["bundle", "--n", "1001", "--seed", "5",
+                                     "--density", "tilt", "--kappa", "2.0",
+                                     "--format", "json", "--threads", threads])
+        assert code == 0
+        streams = [split(make_rng(5), i + 1) for i in range(len(counts))]
+        for st, m in zip(streams, counts):
+            sample_bundle(st, tilt_density(2.0), m)
+        rate = (sum(st.accepted for st in streams)
+                / sum(st.proposals for st in streams))
+        assert json.loads(out)["manifest"]["acceptance_rate"] == rate
 
 
 @pytest.mark.parametrize("cmd", [["bundle"]], ids=["bundle"])
@@ -179,7 +194,7 @@ def test_shard_bytes_do_not_depend_on_workers(argv, capsys, monkeypatch):
 def test_failing_shard_in_worker_exits_3(capsys, monkeypatch):
     # every shard stalls; the report is that of shard 1 (5001 lines, 5009
     # proposals), not shard 2's (5008), as when the shards ran on threads
-    monkeypatch.setattr(fiberline.haar, "_STALL_PROPOSALS", 1000)
+    monkeypatch.setattr(fiberline.bundle, "_STALL_PROPOSALS", 1000)
     for threads, proposals in (("2", 5009), ("3", 3342)):
         code, out, err = _run(capsys, [
             "bundle", "--n", "10001", "--seed", "1", "--density", "tilt",
