@@ -200,8 +200,23 @@ def _receive(pipe) -> tuple[list, Exception | None]:
 
 
 def _joined(parts: list) -> np.ndarray:
-    """The shards' arrays end to end; a single shard's array as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """The shards' arrays end to end; a single shard's array as it is.
+
+    ``parts`` is emptied as it is copied: each shard is dropped once its
+    rows are in place, and the joined array's pages become resident only
+    as they are filled, so the shards and their whole copy are never all
+    resident at once.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty((sum(map(len, parts)),) + parts[0].shape[1:],
+                   dtype=parts[0].dtype)
+    at = 0
+    while parts:
+        part = parts.pop(0)
+        out[at:at + len(part)] = part
+        at += len(part)
+    return out
 
 
 @contextmanager
@@ -368,15 +383,19 @@ def _cmd_haar_test(args, argv: list[str]) -> dict:
         _run_shards(args.seed, args.threads, args.n,
                     lambda st, m: sample_sphere3(st, m))
     )
+    # the w test first, so that its sorted copy is gone before the angles
+    # and axes are built, and q goes once they are
+    w_ks = ks_test(q[:, 0], s3_w_cdf)
     angles = np.empty(len(q), dtype=np.float64)
     uz = np.empty((len(q), 3), dtype=np.float64)  # pushforward of e_z
     # one block of frames at a time: the tests reduce only these two
     for s in blocks(len(q)):
         R = quat_to_rotation(q[s])
         angles[s], uz[s] = rotation_angle(R), R[:, :, 2]
+    del q
     tests = {
         "rotation_angle_ks": ks_test(angles, rotation_angle_cdf),
-        "quaternion_w_ks": ks_test(q[:, 0], s3_w_cdf),
+        "quaternion_w_ks": w_ks,
         "axis_isotropy_chi2": chi2_isotropy(uz, bins=args.bands),
     }
     passed = all(t.p_value > 0.001 for t in tests.values())

@@ -133,18 +133,19 @@ def _cube_rejection(rng: RngStream, m: int, dim: int) -> np.ndarray:
         rng, rows.size, dim), sequential=True)
 
 
-def _first_pass(rng: RngStream, m: int, dim: int,
-                draw: Callable) -> np.ndarray:
-    """The keep mask of the first pass of ``_redraw``'s sequential draw by
-    ``draw(rng, k, dim)``, moving the stream as that pass does."""
-    kept = np.empty(m, dtype=bool)
+def _first_pass(rng: RngStream, m: int, dim: int, draw: Callable) -> int:
+    """How many rows the first pass of ``_redraw``'s sequential draw by
+    ``draw(rng, k, dim)`` rejects, moving the stream as that pass does."""
+    missed = 0
     for s in blocks(m):
-        kept[s], _ = draw(rng, s.stop - s.start, dim)
-    return kept
+        k = s.stop - s.start
+        kept, _ = draw(rng, k, dim)
+        missed += k - np.count_nonzero(kept)
+    return missed
 
 
 def _sphere3_first_pass(rng: RngStream, m: int, dim: int,
-                        draw: Callable) -> np.ndarray:
+                        draw: Callable) -> int:
     """``_first_pass`` of ``sample_sphere3(rng, m)``, whose ``draw`` is
     ``_gaussian_candidates`` and dim 4.
 
@@ -159,7 +160,7 @@ def _sphere3_first_pass(rng: RngStream, m: int, dim: int,
     if rng._spare is not None:
         return _first_pass(rng, m, dim, draw)
     sure = np.exp(-_TINY_NORM ** 2)
-    kept = np.empty(m, dtype=bool)
+    missed = 0
     for s in blocks(m):
         k = s.stop - s.start
         at = copy.copy(rng)
@@ -169,10 +170,10 @@ def _sphere3_first_pass(rng: RngStream, m: int, dim: int,
             for _, _, ss, idx in rng._accepted_pairs(c.stop - c.start):
                 ps[j:j + idx.size] = ss[idx]
                 j += idx.size
-        kept[s] = ps[0::2] * ps[1::2] <= sure
-        if not kept[s].all():
-            kept[s], _ = draw(at, k, dim)
-    return kept
+        if not (ps[0::2] * ps[1::2] <= sure).all():
+            kept, _ = draw(at, k, dim)
+            missed += k - np.count_nonzero(kept)
+    return missed
 
 
 def _replayed(rng: RngStream, m: int, dim: int, draw: Callable,
@@ -180,23 +181,28 @@ def _replayed(rng: RngStream, m: int, dim: int, draw: Callable,
     """The m rows of ``_redraw``'s sequential draw by ``draw(rng, k, dim)``,
     which returns (keep mask, rows), as (slice, rows) one block at a time.
 
-    The first pass, ``first_pass(rng, m, dim, draw)``, and the redraws of the
-    rows it rejects run now, and leave the stream where the whole draw does.
-    The blocks are drawn again from a copy of the stream as it stood before:
-    the stream is counter-based, so the copy reads the same words.
+    The first pass, ``first_pass(rng, m, dim, draw)``, which counts the rows
+    it rejects, and the redraws of those rows run now, and leave the stream
+    where the whole draw does.  The blocks are drawn again from a copy of
+    the stream as it stood before: the stream is counter-based, so the copy
+    reads the same words, and each block's own keep mask says which of its
+    rows take the next redrawn rows, in order.
     """
     at = copy.copy(rng)
-    missed = np.flatnonzero(~first_pass(rng, m, dim, draw))
+    missed = first_pass(rng, m, dim, draw)
     # in one pass, not block by block: same words, but its freed words keep
     # later block temporaries on malloc's heap (block by block, chord box at
     # n = 10^6 took twice the page faults)
-    redrawn = _redraw(missed.size, dim, lambda r: draw(rng, r.size, dim))
+    redrawn = _redraw(missed, dim, lambda r: draw(rng, r.size, dim))
 
     def replay():
+        j = 0
         for s in blocks(m):
-            _, rows = draw(at, s.stop - s.start, dim)
-            lo, hi = np.searchsorted(missed, (s.start, s.stop))
-            rows[missed[lo:hi] - s.start] = redrawn[lo:hi]
+            kept, rows = draw(at, s.stop - s.start, dim)
+            lost = ~kept
+            k = np.count_nonzero(lost)
+            rows[lost] = redrawn[j:j + k]
+            j += k
             yield s, rows
 
     return replay()

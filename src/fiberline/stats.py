@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _blocks
 from ._blocks import blocked_max, blocks, dot
 from ._chi2 import MAX_DF, chdtrc
 from .bundle import _check_radius, _isotropic_blocks, _project_arrays, \
@@ -103,27 +104,62 @@ class GaugeAudit:
         return self.gap / se
 
 
+def _tree_sum(n: int, values: Callable[[slice], np.ndarray]) -> np.float64:
+    """``np.add.reduce`` of the n float64 values that ``values(s)`` gives for
+    the slices s of range(n), one stretch at a time, with numpy's bits.
+
+    numpy adds a contiguous float64 array pairwise (Higham, SIAM J. Sci.
+    Comput. 14, 1993): more than 128 values split at n // 2 rounded down to
+    a multiple of 8, and the sums of the two halves are added.  Following
+    that split down to nodes of at most ``max(_BLOCK, 128)`` values, and
+    summing each such node whole, walks the same tree.
+    """
+    leaf = max(_blocks._BLOCK, 128)
+
+    def node(lo: int, hi: int) -> np.float64:
+        if hi - lo <= leaf:
+            return np.add.reduce(values(slice(lo, hi)))
+        half = (hi - lo) // 2
+        mid = lo + half - half % 8
+        return node(lo, mid) + node(mid, hi)
+
+    return node(0, n)
+
+
 def estimate_from_samples(x: np.ndarray) -> Estimate:
     """Mean +- stderr of 1-d samples; stderr uses the n-1 variance.  The
-    samples may be of any real dtype, 0/1 events as bool included: the one
-    float64 copy made of them is all the memory an estimate takes."""
-    xs = np.array(x, dtype=np.float64).reshape(-1)
-    n = xs.size
+    samples may be of any real dtype, 0/1 events as bool included, and must
+    be finite (ValueError otherwise).  They are converted and reduced one
+    stretch at a time (``_tree_sum``), so an estimate keeps no whole-n copy
+    and still has the bits of np.mean and np.std(ddof=1)."""
+    x = np.asarray(x).reshape(-1)
+    n = x.size
     if n == 0:
         raise TooFewSamples("no samples to estimate from")
+    big = blocked_max(n, lambda s: np.abs(x[s], dtype=np.float64))
+    if not math.isfinite(big):
+        raise ValueError("estimate samples must be finite")
     # scale by a power of two, which is exact, so that the squares neither
     # overflow nor underflow
-    e = math.frexp(max(np.max(xs), -np.min(xs)))[1]
-    np.ldexp(xs, -e, out=xs)
+    e = math.frexp(big)[1]
+
+    def scaled(s):
+        xs = x[s].astype(np.float64)
+        return np.ldexp(xs, -e, out=xs)
+
     # np.mean, then np.std(xs, ddof=1) step by step as numpy's _var takes
-    # them, the same bits, but centring and squaring xs in place
-    m = np.add.reduce(xs) / n
+    # them, the same bits, but centring and squaring one stretch at a time
+    m = _tree_sum(n, scaled) / n
     mean = float(np.ldexp(m, e))
     if n == 1:
         return Estimate(mean, 0.0, n)
-    xs -= m
-    np.square(xs, out=xs)
-    sd = np.sqrt(np.add.reduce(xs) / (n - 1))
+
+    def squares(s):
+        xs = scaled(s)
+        xs -= m
+        return np.square(xs, out=xs)
+
+    sd = np.sqrt(_tree_sum(n, squares) / (n - 1))
     return Estimate(mean, float(np.ldexp(sd, e) / np.sqrt(n)), n)
 
 
@@ -218,7 +254,7 @@ def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> Tes
     come from its own sample, and a max is exact, so D does not depend on
     the block size.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
+    x = np.sort(np.asarray(samples, dtype=np.float64), axis=None)
     n = x.size
     if n < 8:
         raise TooFewSamples(f"KS test needs at least 8 samples, got {n}")
@@ -240,8 +276,8 @@ def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> Tes
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> TestReport:
     """Two-sample KS test with the asymptotic p-value at the effective size
     sqrt(n1 n2 / (n1 + n2))."""
-    a = np.sort(np.asarray(a, dtype=np.float64).reshape(-1))
-    b = np.sort(np.asarray(b, dtype=np.float64).reshape(-1))
+    a = np.sort(np.asarray(a, dtype=np.float64), axis=None)
+    b = np.sort(np.asarray(b, dtype=np.float64), axis=None)
     n1, n2 = a.size, b.size
     if n1 < 8 or n2 < 8:
         raise TooFewSamples("two-sample KS needs at least 8 samples per side")

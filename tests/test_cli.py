@@ -219,6 +219,20 @@ def test_lowest_failing_shard_wins():
         == [1, 2, 3]
 
 
+def test_joined_shards_are_concatenated_and_let_go():
+    # events, chords and quaternion rows, an empty shard among them: the
+    # array np.concatenate makes, with no shard left in the list
+    rng = np.random.default_rng(3)
+    for parts in ([rng.random(5) < 0.5, rng.random(0) < 0.5,
+                   rng.random(7) < 0.5],
+                  [rng.random(6), rng.random(2)],
+                  [rng.random((3, 4)), rng.random((5, 4))]):
+        want = np.concatenate(parts)
+        got = fiberline.cli._joined(parts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert parts == []
+
+
 def test_worker_without_result_exits_3(capsys, monkeypatch):
     parent = os.getpid()
     real = fiberline.cli.sample_sphere3

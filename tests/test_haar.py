@@ -417,7 +417,7 @@ def test_quat_rows_are_the_rows_of_sample_sphere3(spare, floor, block,
     if spare:
         for stream in (rng, ref, probe):
             stream.gaussians(1)
-    assert _sphere3_first_pass(probe, m, 4, _gaussian_candidates).all() \
+    assert (_sphere3_first_pass(probe, m, 4, _gaussian_candidates) == 0) \
         == (floor is None)
     rows = _sphere3_blocks(rng, m)
     want = sample_sphere3(ref, m)
@@ -441,5 +441,5 @@ def test_sphere3_first_pass_scans_pairs_unless_a_spare_is_pending(
 
     monkeypatch.setattr(RngStream, "_fill_gaussians", spy)
     m = 3 * fiberline._blocks._BLOCK + 5
-    assert _sphere3_first_pass(rng, m, 4, _gaussian_candidates).all()
+    assert _sphere3_first_pass(rng, m, 4, _gaussian_candidates) == 0
     assert bool(calls) == spare

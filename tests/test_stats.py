@@ -37,6 +37,7 @@ from fiberline.randkit import make_rng
 from fiberline.stats import (
     BERTRAND_METHODS,
     Estimate,
+    _tree_sum,
     bertrand_experiment,
     bertrand_indicators,
     bertrand_oracle,
@@ -113,27 +114,55 @@ _SAMPLES = st.integers(2, 3000).flatmap(lambda n: st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_SAMPLES)
 def test_estimate_has_the_bits_of_numpy_std(x):
-    # centring and squaring in place takes numpy's _var steps in its order
-    got, want = estimate_from_samples(x), _numpy_estimate(x)
-    assert np.array_equal(np.array([got.mean, got.stderr]).view(np.int64),
-                          np.array([want.mean, want.stderr]).view(np.int64))
-    assert got.n == want.n
+    # centring and squaring one stretch at a time takes numpy's _var steps
+    # in its order; at blocks of 1 and 37 every n above 128 recurses
+    want = _numpy_estimate(x)
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, 37, fiberline._blocks._BLOCK):
+            mp.setattr(fiberline._blocks, "_BLOCK", block)
+            got = estimate_from_samples(x)
+            assert np.array_equal(
+                np.array([got.mean, got.stderr]).view(np.int64),
+                np.array([want.mean, want.stderr]).view(np.int64)), block
+            assert got.n == want.n
 
 
-def test_estimate_keeps_one_scaled_copy():
-    # the scaled copy is 1 double a sample; np.std's centred copy was a
-    # second
-    n = 200_000
+@pytest.mark.parametrize("block", [1, 37, fiberline._blocks._BLOCK])
+@pytest.mark.parametrize("n", [129, 1000, 8193, 65_537, 1_000_003])
+def test_tree_sum_is_numpys_pairwise_sum(n, block, monkeypatch):
+    # the one place that knows numpy's summation tree: a numpy release that
+    # changes it fails here, not in every golden digest
+    x = np.random.default_rng(n).standard_normal(n) \
+        * 10.0 ** np.random.default_rng(n + 1).integers(-6, 7, n)
+    want = np.add.reduce(x)
+    monkeypatch.setattr(fiberline._blocks, "_BLOCK", block)
+    got = _tree_sum(n, lambda s: x[s])
+    assert got.view(np.int64) == want.view(np.int64), \
+        "numpy's pairwise summation no longer splits as stats._tree_sum does"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_estimate_refuses_non_finite_samples(bad):
+    x = make_rng(4).uniforms(40_000)
+    x[-3] = bad  # in the last block
+    with pytest.raises(ValueError, match="must be finite"):
+        estimate_from_samples(x)
+
+
+def test_estimate_keeps_no_whole_copy():
+    # one stretch of the tree is made at a time (0.02 doubles a sample); a
+    # scaled copy of all samples would be 1, and np.std's centred copy 1 more
+    n = 1_000_000
     x = make_rng(4).uniforms(n)
-    assert _peak_doubles_per_line(lambda: estimate_from_samples(x), n) <= 1.25
+    assert _peak_doubles_per_line(lambda: estimate_from_samples(x), n) <= 0.1
 
 
-def test_estimate_of_bool_events_keeps_one_scaled_copy():
-    # 0/1 events as bool are converted once and scaled in place: 1 double
-    # a sample, where a float copy scaled into a second array took 2
-    n = 200_000
+def test_estimate_of_bool_events_keeps_no_whole_copy():
+    # 0/1 events as bool are converted one stretch at a time; a whole
+    # float copy would be 1 double a sample
+    n = 1_000_000
     x = make_rng(4).uniforms(n) < 0.5
-    assert _peak_doubles_per_line(lambda: estimate_from_samples(x), n) <= 1.1
+    assert _peak_doubles_per_line(lambda: estimate_from_samples(x), n) <= 0.1
 
 
 def test_stderr_scales_as_inverse_sqrt_n():
@@ -504,9 +533,9 @@ def _peak_doubles_per_line(f, n):
 @pytest.mark.parametrize("method", BERTRAND_METHODS)
 def test_bertrand_events_keep_no_whole_n_temporaries(method):
     # the output (1 bool a line) is whole, and the midpoint disk keeps its
-    # redrawn rows (about 0.2 of a line, 3 doubles each); the dot products,
+    # redrawn rows (about 0.2 of a line, 2 doubles each); the dot products,
     # comparisons and uniforms live one block at a time (midpoint peaks at
-    # 1.88 doubles a line, 2.14 with float events)
+    # 1.51 doubles a line)
     n = 200_000
     peak = _peak_doubles_per_line(
         lambda: bertrand_indicators(make_rng(22), method, n), n)
@@ -518,6 +547,17 @@ def test_ks_test_keeps_only_the_sorted_samples_whole():
     # both gaps live one block at a time (4 more doubles a sample if whole)
     n = 200_000
     x = 2.0 * make_rng(25).uniforms(n) - 1.0
+    assert _peak_doubles_per_line(lambda: ks_test(x, s3_w_cdf), n) <= 1.5
+
+
+@pytest.mark.parametrize("cols", [0, slice(1, 3)],
+                         ids=["column", "two-columns"])
+def test_ks_test_sorts_one_copy_of_strided_samples(cols):
+    # a strided column, such as haar-test's q[:, 0], and a strided block are
+    # copied once, by the sort itself (a flattened copy sorted again is 2)
+    q = 2.0 * make_rng(25).uniforms(4 * 200_000).reshape(-1, 4) - 1.0
+    x = q[:, cols]
+    n = x.size
     assert _peak_doubles_per_line(lambda: ks_test(x, s3_w_cdf), n) <= 1.5
 
 
@@ -621,7 +661,7 @@ def test_isotropic_chords_are_the_chords_of_the_sampled_lines(body, radius,
 @pytest.mark.parametrize("body, radius", _CHORD_BODIES[:2],
                          ids=_CHORD_IDS[:2])
 def test_isotropic_chords_keep_no_line_table(body, radius):
-    # the redrawn offsets (about 0.2 of a line, 3 doubles each) and chords
+    # the redrawn offsets (about 0.2 of a line, 2 doubles each) and chords
     # (1) are whole; a (u, foot) table of all n lines would add 6, whole
     # offsets about 1.2 and whole quaternions 4 (3.8 ball and 4.6 box;
     # 7.5 and 8.3 with whole quaternions)
