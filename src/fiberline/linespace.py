@@ -146,21 +146,29 @@ _CSV_ROW = ",".join(["%.17g"] * len(_COLUMNS)) + "\n"
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{k}": %r' for k in _COLUMNS) + "\n    }"
 
 
-def _value_groups(parts) -> Iterator[tuple[int, tuple[float, ...]]]:
-    """Row count and row-major _COLUMNS values of each group of rows of each
-    DirectedLine in ``parts``, in order: one group's table at a time."""
+def _tables(parts, per: int) -> Iterator[np.ndarray]:
+    """The (rows, 6) _COLUMNS table of each group of ``blocks(len(dl),
+    per)`` rows of each DirectedLine ``dl`` in ``parts``, in order."""
     for dl in parts:
         u, foot = np.atleast_2d(dl.u), np.atleast_2d(dl.foot)
-        for s in blocks(len(u), 8):
-            table = np.concatenate([u[s], foot[s]], axis=1)
-            yield len(table), tuple(table.ravel().tolist())
+        for s in blocks(len(u), per):
+            yield np.concatenate([u[s], foot[s]], axis=1)
 
 
 def _csv_chunks(parts, manifest: dict) -> Iterator[str]:
     comment = json.dumps(manifest, separators=(",", ":"))
     yield f"# manifest: {comment}\n" + _CSV_HEADER
-    for rows, values in _value_groups(parts):
-        yield (_CSV_ROW * rows) % values
+    # imported here, so that runs writing no CSV never load it: imported with
+    # this module, it moved the heap layout of `chord --threads 2` runs, whose
+    # peak RSS then read 47.9 MB instead of 44-45 MB in a quarter of calls
+    from ._g17 import csv_text
+
+    # the %.17g kernel's temporaries take about 2.5 times the memory per value
+    # of the template's floats and text, so its groups are a quarter of the
+    # JSON writer's; it declines (None) a group that it cannot format
+    for table in _tables(parts, 32):
+        yield (csv_text(table)
+               or (_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _json_chunks(parts, manifest: dict) -> Iterator[str]:
@@ -172,10 +180,11 @@ def _json_chunks(parts, manifest: dict) -> Iterator[str]:
     yield head[:-len("]\n}")] + "\n"
     # records are joined by ",\n" across group and part edges too; the
     # separator is its own chunk, so no group's text is copied to prepend it
-    for i, (rows, values) in enumerate(_value_groups(parts)):
+    for i, table in enumerate(_tables(parts, 8)):
         if i:
             yield ",\n"
-        yield ",\n".join([_JSON_RECORD] * rows) % values
+        yield (",\n".join([_JSON_RECORD] * len(table))
+               % tuple(table.ravel().tolist()))
     yield "\n  ]\n}\n"
 
 
@@ -186,15 +195,22 @@ def write_lines(fh, parts, manifest: dict, fmt: str) -> None:
     ``fmt="csv"`` writes the comment line ``# manifest: <compact JSON>``,
     the header ``ux,uy,uz,qx,qy,qz`` and one row of %.17g values per line;
     17 significant digits round-trip doubles exactly, so equal inputs give
-    equal bytes.  ``fmt="json"`` writes the bytes of ``json.dumps({"manifest":
-    manifest, "lines": lines_to_records(all the lines)}, indent=2) + "\n"``:
-    the head comes from ``json.dumps`` of the empty document, and each group
-    of rows is filled into a ``%r`` template instead of going through the
-    pure-Python indenting encoder.  ``%r`` of a float is ``float.__repr__``,
-    which is what ``json`` writes; the NaN/Infinity spellings cannot arise
-    because DirectedLine rejects non-finite values.  No whole-n table or
-    text is built, so memory beyond the lines themselves does not grow with
-    their number.
+    equal bytes.  Groups are ``_BLOCK // 32`` rows, and ``_g17.csv_text``
+    writes each one's digits in numpy integer arithmetic, with the bytes of
+    the ``%`` template; a group holding a value outside the kernel's range
+    (1e-11 < |x| < 1e17, or zero) is filled into the template instead.
+
+    ``fmt="json"`` writes the bytes of ``json.dumps({"manifest": manifest,
+    "lines": lines_to_records(all the lines)}, indent=2) + "\n"``, in groups
+    of ``_BLOCK // 8`` rows: the head comes from ``json.dumps`` of the empty
+    document, and each group of rows is filled into a ``%r`` template
+    instead of going through the pure-Python indenting encoder.  ``%r`` of a
+    float is ``float.__repr__``, which is what ``json`` writes; the
+    NaN/Infinity spellings cannot arise because DirectedLine rejects
+    non-finite values.
+
+    No whole-n table or text is built, so memory beyond the lines themselves
+    does not grow with their number.
     """
     if fmt == "csv":
         chunks = _csv_chunks(parts, manifest)

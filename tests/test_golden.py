@@ -64,6 +64,25 @@ GOLDEN = [
      ["sample", "--source", "cosine", "--radius", "2", "--n", "200",
       "--seed", "5"], 0,
      "03708d516835b1c03f53d3abc3aac8ab96f501bccd620e6576d7810e8d5ee260"),
+    # the %.17g notations of the CSV writer: exponent form (feet near 1e-7),
+    # two-digit and 17-digit integer parts, and feet beyond 1e17 or below
+    # 1e-11, where every group is formatted by the % template; digests
+    # recorded while the % template formatted every group
+    ("sample-csv-r1e-6",
+     ["sample", "--n", "200", "--seed", "42", "--radius", "1e-6"], 0,
+     "30edad2788e14e137b90c5ad77b789b7dbbbad2bf3d460e02ff8b50ea4ae2a08"),
+    ("sample-csv-r50",
+     ["sample", "--n", "200", "--seed", "42", "--radius", "50"], 0,
+     "52401c4522392c725d7d8a2e4c0ba1da547b1a34a8eca7b2e7c43095b959dbf2"),
+    ("sample-csv-r3e16",
+     ["sample", "--n", "200", "--seed", "42", "--radius", "3e16"], 0,
+     "a1b7a86a3e6f81bb662a58f273f400b9737f8daecca8f6f8d2ad8e185d4ae272"),
+    ("sample-csv-r1e20",
+     ["sample", "--n", "200", "--seed", "42", "--radius", "1e20"], 0,
+     "01b02a85a0d90322db315fdb9e1c27665f6ddfa3784117122477efc0dc91c5d4"),
+    ("sample-csv-r1e-12",
+     ["sample", "--n", "200", "--seed", "42", "--radius", "1e-12"], 0,
+     "d1d9d9a1d071a04b2fc0c652a10658f54459d0ca5f24ac19477d4787b66fa60e"),
     ("bundle-tilt-json",
      ["bundle", "--density", "tilt", "--kappa", "2", "--format", "json",
       "--n", "200", "--seed", "3"], 0,
