@@ -5,15 +5,12 @@ alone, and ``dot`` sums in a fixed order, so slices of any size give the
 same bytes.  numpy takes the one BLAS product left, ``bundle._spin``'s
 ``g @ rz``, one 3x3 pair at a time, so slicing does not move it either.
 Working one block at a time keeps every temporary in cache: a whole-n
-temporary costs more in page faults than in arithmetic.  The JSON line
-writer takes ``blocks(n, 8)``: a formatted row holds Python floats, tuple
-slots and text, about ten times the bytes of a numeric row, so an eighth of
-a block of text costs about as much memory as one numeric block.  The CSV
-writer takes ``blocks(n, 32)``: its ``%.17g`` kernel holds about 200 bytes
-of integer temporaries and character grid per value, and 512-row groups
-keep its traced peak near 0.6 MB, well inside the 1.77 MB that the writer's
-tests allow for 49 152 lines.  ``_BLOCK`` is read at every call,
-so tests can shrink it to show results do not depend on it.
+temporary costs more in page faults than in arithmetic.  The line writers
+take ``blocks(n, 32)``: their digit kernel holds about 200 bytes of integer
+temporaries and character grid per value, and 512-row groups keep its
+traced peak near 0.55 MB (CSV) and 0.8 MB (JSON), well inside the 1.77 MB
+that the writer's tests allow for 49 152 lines.  ``_BLOCK`` is read at
+every call, so tests can shrink it to show results do not depend on it.
 """
 from __future__ import annotations
 

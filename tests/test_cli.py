@@ -745,18 +745,25 @@ def test_no_scipy_import_outside_halfspaces_and_wide_haar_test():
     # scipy costs about 0.3 s to import; only halfspace bodies (their
     # vertices) and haar-test above 41 bands (scipy's chdtrc past the
     # port's df <= 40) need it.  No run imports a thread pool's module
-    # (about 7 ms): shards above the first run in forked processes
+    # (about 7 ms): shards above the first run in forked processes.  The
+    # digit kernel fiberline._g17 is loaded by the line writers alone:
+    # imported along with `linespace`, it moved `experiments`' peak RSS by
+    # 1.7 MB
     check = ("import sys\nassert 'scipy' not in sys.modules, 'scipy imported'\n"
              "assert 'concurrent.futures' not in sys.modules, 'pool imported'\n")
+    kernel = "assert ('fiberline._g17' in sys.modules) == {}, 'kernel'\n"
     proc = subprocess.run(
-        [sys.executable, "-c", "import fiberline.cli\n" + check],
+        [sys.executable, "-c",
+         "import fiberline.cli\n" + check + kernel.format(False)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     # the same after a full `python -m fiberline ...` run
     for argv, marker in (
         (["sample", "--n", "10"], "ux,uy,uz,qx,qy,qz"),
+        (["sample", "--n", "10", "--format", "json"], '"ux": '),
         (["bundle", "--n", "10"], "ux,uy,uz,qx,qy,qz"),
+        (["bundle", "--n", "10", "--format", "json"], '"ux": '),
         (["chord", "--body", "ball:0,0,0,1", "--radius", "2", "--n", "10"],
          '"hit_rate_z"'),
         (["chord", "--body", "box:0,0,0,1,1,1", "--radius", "1.8",
@@ -767,7 +774,8 @@ def test_no_scipy_import_outside_halfspaces_and_wide_haar_test():
          '"experiment": "bertrand"'),
         (["gauge-audit", "--n", "2000"], '"experiment": "gauge-audit"'),
     ):
-        proc = _run_module(argv, check)
+        lines = argv[0] in ("sample", "bundle")
+        proc = _run_module(argv, check + kernel.format(lines))
         assert proc.returncode == 0, (argv, proc.stderr)
         assert marker in proc.stdout
     # the guard follows the boundary: 42 bands take scipy's chdtrc
