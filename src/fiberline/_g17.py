@@ -40,8 +40,6 @@ grid gives the text.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .linespace import _COLUMNS
@@ -184,8 +182,7 @@ def _declined(ax: np.ndarray, hi: float) -> np.ndarray:
     return np.flatnonzero(~((ax > _LO) & (ax < hi)) & (ax != 0.0))
 
 
-@functools.lru_cache(maxsize=16)
-def _fixed(texts: tuple[str, ...]) -> np.ndarray:
+def _fixed(texts: list[str]) -> np.ndarray:
     """Each column's fixed text, right-aligned in the (width, cols) rows of
     a (2, width, cols) uint8 frame, its characters and 1 where kept, which
     is repeated 64 times along the last axis for ``_tile``."""
@@ -195,6 +192,15 @@ def _fixed(texts: tuple[str, ...]) -> np.ndarray:
     frame = np.tile(np.stack([chars, chars != 0]), 64)
     frame.flags.writeable = False
     return frame
+
+
+# the (before, after) frames of each value's fixed text; every JSON record
+# starts with the ",\n" that json_text drops from the first
+_CSV = (_fixed([""] * len(_COLUMNS)),
+        _fixed([","] * (len(_COLUMNS) - 1) + ["\n"]))
+_KEYS = [f'      "{k}": ' for k in _COLUMNS]
+_JSON = (_fixed([",\n    {\n" + _KEYS[0]] + _KEYS[1:]),
+         _fixed([",\n"] * (len(_COLUMNS) - 1) + ["\n    }"]))
 
 
 def _tile(out: np.ndarray, frame: np.ndarray) -> None:
@@ -209,22 +215,20 @@ def _tile(out: np.ndarray, frame: np.ndarray) -> None:
         fill += k
 
 
-def _text(table: np.ndarray, hi: float, before: tuple[str, ...],
-          after: tuple[str, ...], spell: str) -> str:
+def _text(table: np.ndarray, frames: tuple[np.ndarray, np.ndarray],
+          shortest: bool) -> str:
     """The text of each value of the (rows, cols) ``table`` in row-major
-    order between its column's ``before`` and ``after`` texts: ``%.17g``
-    digits, or ``repr``'s when ``spell`` is "%r", and ``spell % x`` for the
-    values outside _LO < |x| < hi and not 0."""
+    order between its column's texts in the (before, after) ``frames``:
+    ``repr``'s digits when ``shortest``, else ``%.17g``'s, and CPython's own
+    for the values outside _LO < |x| < _JSON_HI or _CSV_HI and not 0."""
     v = np.ascontiguousarray(table, dtype=np.float64).reshape(-1)
     n = len(v)
-    if not n:
-        return ""
-    shortest = spell == "%r"
+    hi, spell = (_JSON_HI, "%r") if shortest else (_CSV_HI, "%.17g")
     d, x10, out = _decimal(v, hi, shortest)
 
     # the characters and the keep mask share one buffer, so that the fixed
     # text of both is tiled at once
-    pre, post = _fixed(before), _fixed(after)
+    pre, post = frames
     head = pre.shape[1]
     width = head + _NUM + post.shape[1]
     buf = np.empty((2, width, n), dtype=np.uint8)
@@ -304,17 +308,13 @@ def _text(table: np.ndarray, hi: float, before: tuple[str, ...],
 
 
 def csv_text(table: np.ndarray) -> str:
-    """The text of ``%.17g`` rows of the (rows, cols) float64 ``table``,
+    """The text of ``%.17g`` rows of the (rows, 6) float64 ``table``,
     values joined by ``,`` and each row ended by a newline."""
-    cols = table.shape[1]
-    return _text(table, _CSV_HI, ("",) * cols, (",",) * (cols - 1) + ("\n",),
-                 "%.17g")
+    return _text(table, _CSV, False)
 
 
 def json_text(table: np.ndarray) -> str:
     """The ``json.dumps(indent=2)`` text of the rows of the (rows, 6)
     float64 ``table`` as records {_COLUMNS[c]: value} at depth 2, joined by
     ``,\\n``: each float is its ``repr``."""
-    first, *rest = (f'      "{k}": ' for k in _COLUMNS)
-    return _text(table, _JSON_HI, (",\n    {\n" + first, *rest),
-                 (",\n",) * len(rest) + ("\n    }",), "%r")[2:]
+    return _text(table, _JSON, True)[2:]

@@ -23,12 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import haar
 from ._blocks import blocked_max, blocks, dot
 from .errors import BoundViolated, NonFinite, RejectionStall
 from .haar import _ROTATION, _count, _cube_rejection, _disk_blocks, \
     _sphere3_blocks, _unit_columns, _unit_norms, quat_to_rotation, \
-    sample_sphere2, tangent_from_ball
+    sample_sphere2, sample_sphere3, tangent_from_ball
 from .linespace import _UNIT_TOL, DirectedLine, _unit_and_length
 from .randkit import RngStream
 
@@ -223,11 +222,11 @@ def sample_bundle(rng: RngStream, density: LineDensity, n: int) -> BundlePoint:
     rotation-invariant measure on frames and the uniform disk on offsets.
 
     Plain rejection, in rounds: each round proposes k quaternions from
-    haar.sample_sphere3 (looked up at call time), then k disk offsets, and
-    evaluates f on their frames one block at a time; then k uniforms keep
-    a proposal when uniform * bound < f.  Each round adds its proposals and
-    acceptances to ``rng.proposals`` and ``rng.accepted``.  The kept frames
-    are built one block at a time.
+    sample_sphere3, then k disk offsets, and evaluates f on their frames
+    one block at a time; then k uniforms keep a proposal when uniform *
+    bound < f.  Each round adds its proposals and acceptances to
+    ``rng.proposals`` and ``rng.accepted``.  The kept frames are built one
+    block at a time.
 
     Before any uniform of a round is drawn, its densities are checked over
     the whole round: ValueError unless f returns one value per proposal,
@@ -246,7 +245,7 @@ def sample_bundle(rng: RngStream, density: LineDensity, n: int) -> BundlePoint:
     while got < m:
         want = m - got
         k = min(max(int(want / max(rate_guess, 0.01)) + 8, 32), 4 * m + 64, 1 << 22)
-        q = haar.sample_sphere3(rng, k)
+        q = sample_sphere3(rng, k)
         r = sample_disk(rng, density.disk_radius, k)
         val = np.empty(k, dtype=np.float64)
         # a density that underflows to exp(-inf) = 0 is exact, not an error;

@@ -112,13 +112,12 @@ def _manifest(argv: list[str], seed: int, n: int, extra: dict | None = None) -> 
 def _run_shards(seed: int, threads: int, n: int, fn) -> list:
     """fn(stream, count) for each shard; results in stream-id order.
 
-    More than one shard runs on W = min(k, os.cpu_count()) workers: this
-    process and W - 1 forked children.  Shard i runs on worker i mod W, and
-    each worker takes its shards in stream order.  The error raised is that
-    of the lowest-numbered failing shard; a child that ends without sending
-    its outcome fails at its first shard with a FiberlineError.  Every child
-    is reaped before this returns or raises.  Without ``os.fork`` the shards
-    run here, in order.
+    The shards run on W = min(k, os.cpu_count()) workers, or one without
+    ``os.fork``: this process and W - 1 forked children.  Shard i runs on
+    worker i mod W, and each worker takes its shards in stream order.  The
+    error raised is that of the lowest-numbered failing shard; a child that
+    ends without sending its outcome fails at its first shard with a
+    FiberlineError.  Every child is reaped before this returns or raises.
     """
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError(f"--threads must be between 1 and {_MAX_THREADS}")
@@ -127,8 +126,6 @@ def _run_shards(seed: int, threads: int, n: int, fn) -> list:
     jobs = [(split(make_rng(seed), i + 1), base + (1 if i < extra else 0))
             for i in range(k)]
     width = min(k, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if width == 1:
-        return [fn(st, m) for st, m in jobs]
     pids, pipes = [], []
     try:
         for w in range(1, width):
@@ -478,12 +475,12 @@ def _add_common(p: argparse.ArgumentParser, n_default: int,
 
 def _add_density_flags(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--density", choices=tuple(_DENSITIES), default=default)
-    p.add_argument("--kappa", type=float,
-                   help="direction tilt strength (tilt densities; default 1)")
-    p.add_argument("--sigma", type=float,
-                   help="radial falloff scale (radial densities; default 0.5)")
-    p.add_argument("--beta", type=float,
-                   help="foot tilt strength (foot-tilt density; default 4)")
+    for flag, what, where in (
+            ("kappa", "direction tilt strength", "tilt densities"),
+            ("sigma", "radial falloff scale", "radial densities"),
+            ("beta", "foot tilt strength", "foot-tilt density")):
+        p.add_argument(f"--{flag}", type=float,
+                       help=f"{what} ({where}; default {_STRENGTHS[flag]:g})")
     p.add_argument("--axis", default="0,0,1", help="reference axis x,y,z")
 
 

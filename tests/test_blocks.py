@@ -63,55 +63,10 @@ def _nodes(source: str, allowed: str | None) -> list[ast.AST]:
     return [node for node in ast.walk(tree) if id(node) not in skip]
 
 
-def _blas_calls(source: str, allowed: str | None = None) -> list[int]:
-    """Line numbers of matrix products and numpy BLAS/LAPACK names in
-    ``source``, outside the function named ``allowed``."""
-    found = []
-    for node in _nodes(source, allowed):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
-                isinstance(node.op, ast.MatMult):
-            found.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
-            found.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and \
-                (node.module or "").startswith("numpy") and \
-                ("linalg" in node.module or
-                 any(a.name in _BLAS_NAMES for a in node.names)):
-            found.append(node.lineno)
-    return found
-
-
-def test_blas_guard_sees_every_form():
-    for line in ("c = a @ b", "a @= b", "c = np.linalg.det(a)",
-                 "c = np.dot(a, b)", "c = a.dot(b)", "c = np.einsum('i,i', a, b)",
-                 "from numpy.linalg import norm", "from numpy import inner"):
-        assert _blas_calls(line) == [1], line
-    assert _blas_calls("def _spin(g, rz):\n    return g @ rz\n", "_spin") == []
-
-
-def test_only_spin_calls_blas():
-    # a per-row stage with a BLAS call rounds by the BLAS build; bundle._spin's
-    # frame product is the one left
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        allowed = "_spin" if path.name == "bundle.py" else None
-        lines = _blas_calls(path.read_text(), allowed)
-        if lines:
-            found[path.name] = lines
-    assert found == {}
-
-
-def _row_reductions(source: str) -> list[int]:
-    """Line numbers of max/min/amax/amin/any/all/sum calls with axis=1 or
-    axis=-1 in ``source``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _REDUCTIONS:
-            for kw in node.keywords:
-                if kw.arg == "axis" and _literal(kw.value) in (1, -1):
-                    found.append(node.lineno)
-    return found
+def _lines(source: str, rule, allowed: str | None = None) -> list[int]:
+    """Line numbers of the nodes of ``source`` that ``rule`` flags, outside
+    the function named ``allowed``."""
+    return sorted({node.lineno for node in _nodes(source, allowed) if rule(node)})
 
 
 def _literal(node: ast.AST):
@@ -122,40 +77,122 @@ def _literal(node: ast.AST):
         return None
 
 
+def _blas_call(node: ast.AST) -> bool:
+    """A matrix product, or a numpy BLAS/LAPACK name."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _BLAS_NAMES
+    return isinstance(node, ast.ImportFrom) and \
+        (node.module or "").startswith("numpy") and \
+        ("linalg" in node.module or any(a.name in _BLAS_NAMES for a in node.names))
+
+
+def _row_reduction(node: ast.AST) -> bool:
+    """A max/min/amax/amin/any/all/sum call with axis=1 or axis=-1."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr in _REDUCTIONS \
+        and any(kw.arg == "axis" and _literal(kw.value) in (1, -1)
+                for kw in node.keywords)
+
+
+def _worker_import(node: ast.AST) -> bool:
+    """An import of a thread or pool module."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] in _WORKER_MODULES for name in names)
+
+
+def _stream_state_write(node: ast.AST) -> bool:
+    """An assignment to a ``_counter`` or ``_spare`` attribute, directly or
+    through ``setattr``."""
+    return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+        and node.attr in _STREAM_STATE \
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "setattr" and len(node.args) > 1 \
+        and _literal(node.args[1]) in _STREAM_STATE
+
+
+def _replay_reference(node: ast.AST) -> bool:
+    """A replay internal named as a name, an attribute or an imported name."""
+    return isinstance(node, ast.Name) and node.id in _REPLAY_INTERNALS \
+        or isinstance(node, ast.Attribute) and node.attr in _REPLAY_INTERNALS \
+        or isinstance(node, (ast.Import, ast.ImportFrom)) \
+        and any(a.name.split(".")[-1] in _REPLAY_INTERNALS for a in node.names)
+
+
+def _rejection_raise(node: ast.AST) -> bool:
+    """A raise or construction of a density rejection error, by name or as
+    an attribute."""
+    def named(node):
+        return isinstance(node, ast.Name) and node.id in _REJECTION_ERRORS \
+            or isinstance(node, ast.Attribute) and node.attr in _REJECTION_ERRORS
+
+    return isinstance(node, ast.Raise) and named(node.exc) \
+        or isinstance(node, ast.Call) and named(node.func)
+
+
+# each structure rule and where it does not apply: nowhere, in one module,
+# or in one function of one module
+_RULES = {
+    _blas_call: ("bundle.py", "_spin"),
+    _row_reduction: (None, None),
+    _worker_import: (None, None),
+    _stream_state_write: ("randkit.py", None),
+    _replay_reference: ("haar.py", None),
+    _rejection_raise: ("bundle.py", None),
+}
+
+
+@pytest.fixture(scope="module")
+def broken():
+    """rule -> {file name: line numbers} of each rule's breaches in the
+    package, read in one scan of its files."""
+    found = {rule: {} for rule in _RULES}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        for rule, (home, allowed) in _RULES.items():
+            if path.name == home and allowed is None:
+                continue
+            lines = _lines(source, rule, allowed if path.name == home else None)
+            if lines:
+                found[rule][path.name] = lines
+    return found
+
+
+def test_blas_guard_sees_every_form():
+    for line in ("c = a @ b", "a @= b", "c = np.linalg.det(a)",
+                 "c = np.dot(a, b)", "c = a.dot(b)", "c = np.einsum('i,i', a, b)",
+                 "from numpy.linalg import norm", "from numpy import inner"):
+        assert _lines(line, _blas_call) == [1], line
+    assert _lines("def _spin(g, rz):\n    return g @ rz\n", _blas_call,
+                  "_spin") == []
+
+
+def test_only_spin_calls_blas(broken):
+    # a per-row stage with a BLAS call rounds by the BLAS build; bundle._spin's
+    # frame product is the one left
+    assert broken[_blas_call] == {}
+
+
 def test_row_reduction_guard_sees_every_form():
     for name in sorted(_REDUCTIONS):
         for axis in ("1", "-1"):
             line = f"c = np.{name}(a, axis={axis})"
-            assert _row_reductions(line) == [1], line
-        assert _row_reductions(f"c = np.{name}(a, axis=0)") == []
-    assert _row_reductions("c = np.max(a, axis=k)") == []
-    assert _row_reductions("c = a.max(axis=-1)") == [1]
+            assert _lines(line, _row_reduction) == [1], line
+        assert _lines(f"c = np.{name}(a, axis=0)", _row_reduction) == []
+    assert _lines("c = np.max(a, axis=k)", _row_reduction) == []
+    assert _lines("c = a.max(axis=-1)", _row_reduction) == [1]
 
 
-def test_reductions_run_down_columns():
+def test_reductions_run_down_columns(broken):
     # _clip's kernel reads (constraints, lines) arrays, whose reductions run
     # over axis 0
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        lines = _row_reductions(path.read_text())
-        if lines:
-            found[path.name] = lines
-    assert found == {}
-
-
-def _worker_imports(source: str) -> list[int]:
-    """Line numbers of imports of thread or pool modules in ``source``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] in _WORKER_MODULES for name in names):
-            found.append(node.lineno)
-    return found
+    assert broken[_row_reduction] == {}
 
 
 def test_worker_import_guard_sees_every_form():
@@ -163,74 +200,32 @@ def test_worker_import_guard_sees_every_form():
                  "from concurrent.futures import ThreadPoolExecutor",
                  "import multiprocessing as mp", "from multiprocessing import Pool",
                  "import os, threading"):
-        assert _worker_imports(line) == [1], line
+        assert _lines(line, _worker_import) == [1], line
     for line in ("import os", "from . import threading_notes",
                  "from .concurrent import x", "import numpy"):
-        assert _worker_imports(line) == [], line
+        assert _lines(line, _worker_import) == [], line
 
 
-def test_no_threads_or_pools():
+def test_no_threads_or_pools(broken):
     # cli._run_shards forks its workers, which is safe only while no thread
     # runs; it stays the one worker mechanism
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        lines = _worker_imports(path.read_text())
-        if lines:
-            found[path.name] = lines
-    assert found == {}
-
-
-def _stream_state_writes(source: str) -> list[int]:
-    """Line numbers in ``source`` that assign a ``_counter`` or ``_spare``
-    attribute, directly or through ``setattr``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
-                and node.attr in _STREAM_STATE:
-            found.append(node.lineno)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "setattr" and len(node.args) > 1 \
-                and _literal(node.args[1]) in _STREAM_STATE:
-            found.append(node.lineno)
-    return sorted(set(found))
+    assert broken[_worker_import] == {}
 
 
 def test_stream_state_guard_sees_every_form():
     for line in ("rng._counter = 0", "rng._spare += 1.0",
                  "a._counter, a._spare = c, s", "rng._spare: float = x",
                  "setattr(rng, '_counter', 5)", "for rng._counter in r: pass"):
-        assert _stream_state_writes(line) == [1], line
+        assert _lines(line, _stream_state_write) == [1], line
     for line in ("c = rng._counter", "f(rng._spare)", "rng.counter = 1",
                  "setattr(rng, name, 5)", "_counter = 3"):
-        assert _stream_state_writes(line) == [], line
+        assert _lines(line, _stream_state_write) == [], line
 
 
-def test_only_randkit_moves_a_stream():
+def test_only_randkit_moves_a_stream(broken):
     # the polar method's spare rule and the word counter live in randkit
     # alone; other modules read a stream's position or copy the stream
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "randkit.py":
-            continue
-        lines = _stream_state_writes(path.read_text())
-        if lines:
-            found[path.name] = lines
-    assert found == {}
-
-
-def _replay_references(source: str) -> list[int]:
-    """Line numbers in ``source`` that name a replay internal: as a name, an
-    attribute or an imported name."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id in _REPLAY_INTERNALS \
-                or isinstance(node, ast.Attribute) \
-                and node.attr in _REPLAY_INTERNALS \
-                or isinstance(node, (ast.Import, ast.ImportFrom)) \
-                and any(a.name.split(".")[-1] in _REPLAY_INTERNALS
-                        for a in node.names):
-            found.append(node.lineno)
-    return sorted(set(found))
+    assert broken[_stream_state_write] == {}
 
 
 def test_replay_guard_sees_every_form():
@@ -244,39 +239,17 @@ def test_replay_guard_sees_every_form():
                  "rows = haar._replayed(rng, m, 2, d, p)",
                  "from .haar import _first_pass as fp",
                  "f = _sphere3_first_pass"):
-        assert _replay_references(line) == [1], line
+        assert _lines(line, _replay_reference) == [1], line
     for line in ("from .haar import _disk_blocks, _sphere3_blocks",
                  "rows = haar._disk_blocks(rng, m)", "replayed = 1",
                  "s = '_replayed'"):
-        assert _replay_references(line) == [], line
+        assert _lines(line, _replay_reference) == [], line
 
 
-def test_only_haar_knows_how_a_draw_is_replayed():
+def test_only_haar_knows_how_a_draw_is_replayed(broken):
     # bundle and stats take their draws from haar._sphere3_blocks and
     # haar._disk_blocks, which pair each first pass with its draw
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "haar.py":
-            continue
-        lines = _replay_references(path.read_text())
-        if lines:
-            found[path.name] = lines
-    assert found == {}
-
-
-def _rejection_raises(source: str) -> list[int]:
-    """Line numbers in ``source`` that raise or construct a density
-    rejection error, by name or as an attribute."""
-    def named(node):
-        return isinstance(node, ast.Name) and node.id in _REJECTION_ERRORS \
-            or isinstance(node, ast.Attribute) and node.attr in _REJECTION_ERRORS
-
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Raise) and named(node.exc) \
-                or isinstance(node, ast.Call) and named(node.func):
-            found.append(node.lineno)
-    return sorted(set(found))
+    assert broken[_replay_reference] == {}
 
 
 def test_rejection_guard_sees_every_form():
@@ -288,21 +261,14 @@ def test_rejection_guard_sees_every_form():
                  "proposals')",
                  "raise errors.NonFinite", "raise BoundViolated from exc",
                  "err = RejectionStall('stalled')"):
-        assert _rejection_raises(line) == [1], line
+        assert _lines(line, _rejection_raise) == [1], line
     for line in ("from .errors import BoundViolated, NonFinite, RejectionStall",
                  "try:\n    f()\nexcept RejectionStall:\n    pass",
                  "ok = isinstance(e, NonFinite)",
                  "raise ValueError('NonFinite')", "class NonFinite(Exception): pass"):
-        assert _rejection_raises(line) == [], line
+        assert _lines(line, _rejection_raise) == [], line
 
 
-def test_only_bundle_runs_a_density_rejection_loop():
+def test_only_bundle_runs_a_density_rejection_loop(broken):
     # sample_bundle holds the one loop that checks densities and stalls
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "bundle.py":
-            continue
-        lines = _rejection_raises(path.read_text())
-        if lines:
-            found[path.name] = lines
-    assert found == {}
+    assert broken[_rejection_raise] == {}

@@ -116,6 +116,8 @@ def test_bundle_point_validation():
         BundlePoint(np.eye(3), np.zeros(3))            # r shape
     with pytest.raises(ValueError):
         BundlePoint(np.eye(3), np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="^g must have shape"):
+        BundlePoint(np.eye(2), np.zeros(2))
 
 
 def test_frame_check_is_the_line_check():
@@ -419,6 +421,8 @@ def test_density_validation():
         LineDensity(lambda g, r: None, 0.0, 1.0)
     with pytest.raises(ValueError):
         LineDensity(lambda g, r: None, 1.0, -1.0)
+    with pytest.raises(ValueError, match="^f must be callable$"):
+        LineDensity(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         tilt_density(1.0, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):

@@ -204,9 +204,10 @@ def test_failing_shard_in_worker_exits_3(capsys, monkeypatch):
         _assert_no_children()
 
 
-def test_lowest_failing_shard_wins():
+def test_lowest_failing_shard_wins(monkeypatch):
     # shard 1 passes; shard 2 fails in a child, and shard 3 in this process
-    # after it, on a host of two or more CPUs
+    # after it, on a host of two or more CPUs; without a fork, shard 2 fails
+    # here and shard 3 never runs
     def fn(st, m):
         if st.stream_id >= 2:
             raise ValueError(f"shard {st.stream_id}")
@@ -215,6 +216,10 @@ def test_lowest_failing_shard_wins():
     with pytest.raises(ValueError, match="^shard 2$"):
         fiberline.cli._run_shards(1, 3, 30, fn)
     _assert_no_children()
+    with monkeypatch.context() as mp:
+        mp.delattr(os, "fork")
+        with pytest.raises(ValueError, match="^shard 2$"):
+            fiberline.cli._run_shards(1, 3, 30, fn)
     assert fiberline.cli._run_shards(1, 3, 30, lambda st, m: st.stream_id) \
         == [1, 2, 3]
 
@@ -315,6 +320,18 @@ def test_chord_report(capsys):
     assert rep["pass"] is True
     assert rep["oracle_values"]["hit_rate"] == 0.25
     assert rep["oracle_values"]["mean_chord_given_hit"] == pytest.approx(4 / 3)
+
+
+def test_chord_exact_hit_rate_has_zero_score(capsys):
+    # every line meets a ball of the sampling radius, so the hit rate is 1.0
+    # with zero stderr and equals its oracle S/(4 pi R^2) exactly
+    code, out, _ = _run(capsys, ["chord", "--body", "ball:0,0,0,1",
+                                 "--radius", "1", "--n", "1000", "--seed", "3"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["oracle_values"]["hit_rate"] == 1.0
+    assert rep["tests"]["hit_rate_z"] == {"statistic": 0.0, "p_value": 1.0,
+                                          "n": 1000}
 
 
 def test_chord_insufficient_radius_exits_2(capsys):

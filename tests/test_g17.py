@@ -107,6 +107,13 @@ def test_zeros():
     assert check([-0.0, 0.5, 3.0, -12.5, 0.0, 1e16])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_empty_table_has_no_text(fmt):
+    # the writers never pass an empty table; the general path gives no text
+    assert check([], fmt)
+    assert kernel(np.empty((0, COLS)), fmt) == ""
+
+
 @pytest.mark.parametrize("value", [TINY, -TINY, np.finfo(np.float64).tiny,
                                    1e-12, -1e-300, MAX, -MAX, 1e17, -2e20])
 def test_out_of_range_values_decline(value):

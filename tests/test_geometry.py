@@ -327,6 +327,8 @@ def test_halfspaces_validation():
         Halfspaces(np.array([[2.0, 0.0, 0.0]]), np.array([1.0]))  # not unit
     with pytest.raises(ValueError):
         Halfspaces(np.zeros((0, 3)), np.zeros(0))
+    with pytest.raises(ValueError, match=r"^need \(k, 3\) normals"):
+        Halfspaces(np.eye(3), np.ones(2))
 
 
 def test_body_validation():

@@ -279,6 +279,13 @@ def test_tangent_takes_rows_only():
         tangent_from_ball(make_rng(27), np.array([0.0, 0.0, 1.0]))
 
 
+def test_bad_counts_and_quaternions_are_refused():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        sample_sphere3(make_rng(28), -1)
+    with pytest.raises(ValueError, match="^quaternion must have 4 components$"):
+        quat_to_rotation(np.array([0.0, 0.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # the redraw kernel against the keep-only loop it replaced
 

@@ -95,6 +95,8 @@ def test_validation_errors():
         DirectedLine([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])  # foot not orthogonal
     with pytest.raises(ValueError):
         DirectedLine([0.0, 0.0, np.nan], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^u and foot must both have shape"):
+        DirectedLine([0.0, 0.0, 1.0], np.zeros((2, 3)))
     with pytest.raises(ValueError):
         slope_to_directed(np.inf, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):

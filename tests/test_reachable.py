@@ -1,13 +1,14 @@
-"""Every public name of the package is reached from the command line, a
-paper criterion or a named oracle.
+"""Every top-level definition of the package is reached from the command
+line, a paper criterion or a named oracle.
 
 A top-level definition of ``src/fiberline/*.py`` reaches every top-level
 definition its code names: in its own module, through a relative import, or
 as an attribute of an imported module.  The roots are ``cli.main``, every
-name ``tests/test_acceptance.py`` imports, and ``ORACLES``.  A name in a
-public module's ``__all__`` that no root reaches has no caller that runs an
-experiment, and fails the guard.  The package itself binds only its
-submodules, so no top-level alias is a second copy of a public name.
+name ``tests/test_acceptance.py`` imports, and ``ORACLES``.  A definition
+that no root reaches, a private helper or constant as much as a name in
+``__all__``, has no caller that runs an experiment, and fails the guard.
+The package itself binds only its submodules, so no top-level alias is a
+second copy of a public name.
 """
 import __future__
 import ast
@@ -50,7 +51,7 @@ def _module(source: str) -> tuple[dict, dict]:
 
 
 def _unreached(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[str]:
-    """``module.name`` of each ``__all__`` name of a public module in
+    """``module.name`` of each top-level definition but ``__all__`` in
     ``sources`` (module name -> source text) that ``roots`` do not reach."""
     modules = {mod: _module(src) for mod, src in sources.items()}
 
@@ -60,8 +61,10 @@ def _unreached(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[str
             if name not in modules[mod][1]:
                 return None
             mod, name = modules[mod][1][name]
-            if name is None:
-                return None
+            if name is None:  # a submodule, or a name the package defines
+                if mod in modules:
+                    return None
+                mod, name = "__init__", mod
         return mod, name
 
     def mentions(mod, node):
@@ -88,13 +91,9 @@ def _unreached(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[str
         for node in modules[key[0]][0][key[1]]:
             pending.extend(mentions(key[0], node))
 
-    unreached = []
-    for mod, (defs, _) in sorted(modules.items()):
-        if mod.startswith("_") or "__all__" not in defs:
-            continue
-        public = ast.literal_eval(defs["__all__"][0].value)
-        unreached += [f"{mod}.{name}" for name in public if (mod, name) not in reached]
-    return unreached
+    return [f"{mod}.{name}" for mod, (defs, _) in sorted(modules.items())
+            for name in sorted(defs)
+            if name != "__all__" and (mod, name) not in reached]
 
 
 def _acceptance_roots() -> set[tuple[str, str]]:
@@ -120,18 +119,22 @@ def test_package_binds_only_its_submodules():
     assert aliases == []
 
 
-def test_every_public_name_is_reached():
+def test_every_definition_is_reached():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     roots = {("cli", "main")} | _acceptance_roots() | ORACLES
     assert _unreached(sources, roots) == []
 
 
 _TOY = {
-    "cli": "from . import core\nfrom .util import helper\n\n"
-           "def main():\n    return core.used() + helper()\n",
-    "core": "__all__ = ['used', 'Kept', 'dead', 'only_dead_calls_me']\n\n"
-            "def used():\n    return Kept()\n\n"
+    "__init__": "from . import cli, core\n\n__version__ = '1'\n\n"
+                "__all__ = ['__version__', 'cli', 'core']\n",
+    "cli": "from . import core, __version__\nfrom .util import helper\n\n"
+           "def main():\n    return core.used() + helper() + __version__\n",
+    "core": "__all__ = ['used', 'Kept', 'dead', 'only_dead_calls_me']\n"
+            "_SCALE = 2\n\n"
+            "def used():\n    return Kept() * _SCALE\n\n"
             "class Kept:\n    pass\n\n"
+            "def _orphan():\n    return 0\n\n"
             "def dead():\n    return only_dead_calls_me()\n\n"
             "def only_dead_calls_me():\n    return 0\n",
     "util": "__all__ = ['helper']\n\ndef helper():\n    return 1\n",
@@ -139,8 +142,10 @@ _TOY = {
 
 
 def test_reachability_guard_sees_an_unreached_function():
-    # reached: through a module attribute, an imported name and a class;
-    # a name that only an unreached function mentions is unreached too
+    # reached: through a module attribute, an imported name, a class, a
+    # constant and a name the package defines; a name that only an
+    # unreached function mentions is unreached too, and so is a private one
     main = ("cli", "main")
-    assert _unreached(_TOY, {main}) == ["core.dead", "core.only_dead_calls_me"]
-    assert _unreached(_TOY, {main, ("core", "dead")}) == []
+    assert _unreached(_TOY, {main}) == [
+        "core._orphan", "core.dead", "core.only_dead_calls_me"]
+    assert _unreached(_TOY, {main, ("core", "dead")}) == ["core._orphan"]
